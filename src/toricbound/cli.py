@@ -2,8 +2,9 @@
 machine-readable reports.
 
 Exit codes: 0 success; 2 validation error (malformed JSON, schema violation,
-unsupported rank); 3 mathematically inconclusive (the compatibility condition
-is Violated or Unknown but the command needs it Verified).
+unsupported rank, an option beyond its limit); 3 mathematically inconclusive
+(the compatibility condition is Violated or Unknown but the command needs it
+Verified).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .cones import RationalCone
 from .fans import is_smooth, smooth_resolution
 from .filtration import filtration_level, total_stability_certificate
 from .hilbert import SemigroupBasis, hilbert_basis, semigroup_contains
+from .intlin import lattice_points
 from .linalg import inertia
 from .serialize import (
     SchemaError,
@@ -65,6 +67,14 @@ COMMANDS = (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
+
+# `hilbert --box B` checks one membership query per lattice point of the cone
+# in [-B, B]^n; the box may hold at most this many points, so B <= 64 in rank
+# 2, 12 in rank 3 and 5 in rank 4.
+MAX_BOX_POINTS = 129 ** 2
+# `filtration` and `stability` compute every level 0..nmax; the work grows
+# about as nmax^3.
+MAX_NMAX = 100
 
 
 @dataclass
@@ -179,6 +189,12 @@ def _cmd_tc_check(cfg: RunConfig):
 
 def _cmd_hilbert(cfg: RunConfig):
     cone = cone_from_json(_load_input(cfg))
+    box = cfg.box
+    if box is not None and (box < 0 or (2 * box + 1) ** cone.rank > MAX_BOX_POINTS):
+        raise SchemaError(
+            f"--box {box} is out of range: B must be >= 0 and [-B, B]^{cone.rank} "
+            f"may hold at most MAX_BOX_POINTS = {MAX_BOX_POINTS} points"
+        )
     basis = hilbert_basis(cone)
     out = semigroup_to_json(basis)
     if cfg.box is not None:
@@ -188,8 +204,9 @@ def _cmd_hilbert(cfg: RunConfig):
 
 
 def _verify_box_coverage(cone: RationalCone, basis, bound: int):
-    for pt in product(range(-bound, bound + 1), repeat=cone.rank):
-        if cone.contains(pt) and not semigroup_contains(basis, pt):
+    cons = [(a, 0) for a in cone.inequalities]
+    for pt in lattice_points(cons, [-bound] * cone.rank, [bound] * cone.rank):
+        if not semigroup_contains(basis, pt):
             raise AssertionError(f"lattice point {pt} not covered by the basis")
 
 
@@ -312,6 +329,8 @@ def main(argv=None) -> int:
     if getattr(args, "grid", None):
         cfg.grid, cfg.drifts = _parse_grid_spec(args.grid)
     try:
+        if not 0 <= cfg.n_max <= MAX_NMAX:
+            raise SchemaError(f"--nmax {cfg.n_max} is outside 0..MAX_NMAX = {MAX_NMAX}")
         result = _DISPATCH[cfg.command](cfg)
     except json.JSONDecodeError as exc:
         print(

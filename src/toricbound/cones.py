@@ -178,9 +178,6 @@ class RationalCone:
         linpts = set(self.lineality_basis) | {vec_neg(b) for b in self.lineality_basis}
         return tuple(g for g in self.generators if g not in linpts)
 
-    def ray_vectors(self) -> tuple[LatticeVector, ...]:
-        return tuple(LatticeVector(g, self.side) for g in self.generators)
-
     # -- membership ----------------------------------------------------------
 
     def contains(self, v) -> bool:
@@ -266,19 +263,6 @@ def _coords(v, rank: int, side: str) -> Vec:
     if isinstance(v, LatticeVector):
         if v.side != side:
             raise ValueError(f"vector side {v.side} does not match cone side {side}")
-        v = v.coords
-    v = tuple(int(x) for x in v)
-    if len(v) != rank:
-        raise ValueError(f"vector rank {len(v)} does not match cone rank {rank}")
-    return v
-
-
-def _dual_coords(v, rank: int, side: str) -> Vec:
-    if isinstance(v, LatticeVector):
-        if v.side != OTHER_SIDE[side]:
-            raise ValueError(
-                f"inequality side {v.side} does not match dual lattice {OTHER_SIDE[side]}"
-            )
         v = v.coords
     v = tuple(int(x) for x in v)
     if len(v) != rank:

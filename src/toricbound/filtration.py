@@ -1,19 +1,19 @@
 """The boundedness filtration: lattice-point polyhedra of the levels, module
-generators over the bounded ring, dimension counts, and the total-stability
+generators over the bounded ring, dimensions, and the total-stability
 certificate.
 
 Level n collects the exponents beta with <beta, u> >= 0 along the rays inside
 sigma and >= -n along the divisors at infinity met by the closure of S. Level
 zero is the bounded ring itself; each level is a finitely generated module
-over it, with generators computed by Dickson decomposition.
+over it, with generators computed by Dickson decomposition. A finite level
+has a zero recession cone, hence a trivial base semigroup, so its module
+generators are all of its lattice points and their number is its dimension.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
-from math import ceil, floor
 
 from .bounded import (
     BinomialSet,
@@ -68,25 +68,8 @@ def filtration_level(fs: FSData, n: int) -> FiltrationLevel:
         raise ValueError("level index must be nonnegative")
     poly = level_polyhedron(fs, n)
     gens = dickson_decompose(poly, fs.dual_basis)
-    rec = poly.recession_cone()
-    if rec.is_zero():
-        dim = _count_lattice_points(poly)
-    else:
-        dim = INFINITE
+    dim = len(gens.generators) if poly.recession_cone().is_zero() else INFINITE
     return FiltrationLevel(fs, n, poly, gens, dim)
-
-
-def _count_lattice_points(poly: ShiftedPolyhedron) -> int:
-    verts = poly.vertices()
-    if not verts:
-        return 0
-    n = poly.rank
-    lo = [floor(min(v[c] for v in verts)) for c in range(n)]
-    hi = [ceil(max(v[c] for v in verts)) for c in range(n)]
-    return sum(
-        1 for x in product(*(range(lo[c], hi[c] + 1) for c in range(n)))
-        if poly.contains(x)
-    )
 
 
 def filtration_multiplicativity_check(level_m: FiltrationLevel, level_n: FiltrationLevel) -> bool:

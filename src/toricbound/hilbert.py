@@ -2,17 +2,20 @@
 semigroup membership and integer relations among generators.
 
 The Hilbert basis algorithm triangulates a pointed cone into simplicial
-pieces, enumerates the half-open fundamental parallelepiped of each piece,
-and filters the union down to the irreducible elements. Non-pointed cones are
+pieces, enumerates the lattice points of the half-open fundamental
+parallelepiped of each piece (cut out by the facet normals of the piece), and
+filters the union down to the irreducible elements. Non-pointed cones are
 reduced modulo their lineality lattice; lower-dimensional cones are handled in
-coordinates on the saturated span lattice.
+coordinates on the saturated span lattice. Dickson module generators are the
+irreducible lattice points of a polyhedron, enumerated in a box around its
+vertices. Both enumerations are ``intlin.lattice_points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, floor
 
 from .cones import RationalCone
@@ -21,6 +24,7 @@ from .intlin import (
     integer_kernel,
     integer_solve,
     is_zero,
+    lattice_points,
     rank_of,
     saturate,
     solve_rational,
@@ -141,7 +145,10 @@ def _hilbert_pointed(rays: tuple[Vec, ...], rank: int, side: str) -> tuple[Vec, 
     d = rank_of(rays)
     if d < rank:
         span = saturate(rays)
-        coords = [_coordinates_in(span, g) for g in rays]
+        columns = list(zip(*span))
+        coords = [integer_solve(columns, g) for g in rays]
+        if None in coords:
+            raise ValueError("vector is not in the saturated span lattice")
         sub = _hilbert_pointed_from_vectors(coords, d, side)
         back = [tuple(sum(c[i] * span[i][j] for i in range(d)) for j in range(rank)) for c in sub]
         return tuple(sorted(back))
@@ -169,14 +176,6 @@ def _hilbert_pointed(rays: tuple[Vec, ...], rank: int, side: str) -> tuple[Vec, 
         if not reducible:
             basis.append(x)
     return tuple(sorted(basis))
-
-
-def _coordinates_in(basis: list[Vec], v: Vec) -> Vec:
-    rows = [tuple(b[c] for b in basis) for c in range(len(v))]
-    sol = solve_rational(rows, v)
-    if sol is None or any(f.denominator != 1 for f in sol):
-        raise ValueError("vector is not in the saturated span lattice")
-    return tuple(int(f) for f in sol)
 
 
 def _triangulate(rays: tuple[Vec, ...], d: int) -> list[tuple[Vec, ...]]:
@@ -234,21 +233,23 @@ def _boundary_facets(simplices, placed, d):
 
 
 def _parallelepiped_points(simplex: tuple[Vec, ...]) -> set[Vec]:
-    """Nonzero lattice points of {sum t_i g_i : 0 <= t_i < 1}."""
+    """Nonzero lattice points of {sum t_i g_i : 0 <= t_i < 1}.
+
+    t_i = <w_i, x> / <w_i, g_i> for the normal w_i of the facet opposite g_i,
+    so the parallelepiped is 0 <= <w_i, x> <= <w_i, g_i> - 1 on the lattice.
+    """
     n = len(simplex[0])
-    rows = [tuple(g[c] for g in simplex) for c in range(n)]
+    constraints = []
+    for i, g in enumerate(simplex):
+        others = simplex[:i] + simplex[i + 1:]
+        # a 1-simplex in rank 1 has no other ray to take a kernel of
+        w = integer_kernel(others)[0] if others else (1,)
+        if dot(w, g) < 0:
+            w = vec_neg(w)
+        constraints += [(w, 0), (vec_neg(w), dot(w, g) - 1)]
     lo = [sum(min(0, g[c]) for g in simplex) for c in range(n)]
     hi = [sum(max(0, g[c]) for g in simplex) for c in range(n)]
-    pts: set[Vec] = set()
-    for x in product(*(range(lo[c], hi[c] + 1) for c in range(n))):
-        if is_zero(x):
-            continue
-        t = solve_rational(rows, x)
-        if t is None:
-            continue
-        if all(0 <= ti < 1 for ti in t):
-            pts.add(tuple(x))
-    return pts
+    return {x for x in lattice_points(constraints, lo, hi) if not is_zero(x)}
 
 
 def semigroup_contains(basis: SemigroupBasis, beta) -> bool:
@@ -285,33 +286,33 @@ def _pointed_contains(gens: list[Vec], beta: Vec) -> bool:
     if any(x <= 0 for x in weights):
         raise AssertionError("positive functional failed; cone not pointed?")
     ineqs = cone.inequalities
-    memo: dict[Vec, bool] = {}
-
-    def rec(t: Vec) -> bool:
+    # depth-first search for a path beta -> 0 that subtracts generators and
+    # stays in the cone; every step lowers the weight <w, t> by at least 1
+    stack = [beta]
+    seen = {beta}
+    while stack:
+        t = stack.pop()
         if is_zero(t):
             return True
-        if t in memo:
-            return memo[t]
-        memo[t] = False
-        if all(dot(a, t) >= 0 for a in ineqs):
-            wt = dot(w, t)
-            for g, wg in zip(gens, weights):
-                if wg <= wt and rec(vec_sub(t, g)):
-                    memo[t] = True
-                    break
-        return memo[t]
-
-    return rec(beta)
+        if not all(dot(a, t) >= 0 for a in ineqs):
+            continue
+        wt = dot(w, t)
+        for g, wg in zip(gens, weights):
+            s = vec_sub(t, g)
+            if wg <= wt and s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return False
 
 
 def dickson_decompose(poly: ShiftedPolyhedron, base: SemigroupBasis) -> ModuleGenerators:
     """Minimal B0 with (poly ∩ lattice) = B0 + semigroup(base).
 
     The recession cone of the polyhedron must equal the cone of the base
-    semigroup. Enumeration runs over the box hull of the vertices padded by
-    the generator offsets; irreducible points (not reachable from the
-    polyhedron by subtracting a generator) are exactly the minimal module
-    generators, listed in graded-lex order.
+    semigroup. Its lattice points are enumerated fibre by fibre in the box
+    hull of the vertices padded by the generator offsets; irreducible points
+    (not reachable from the polyhedron by subtracting a generator) are
+    exactly the minimal module generators, listed in graded-lex order.
     """
     if poly.rank > 3:
         raise ValueError("dickson_decompose supported up to rank 3")
@@ -322,10 +323,11 @@ def dickson_decompose(poly: ShiftedPolyhedron, base: SemigroupBasis) -> ModuleGe
         if not proj:
             return ModuleGenerators(base, ((0,) * poly.rank,))
         qrank = len(proj)
-        qcons = []
-        for u, m in poly.constraints:
-            ubar = _functional_through(proj, u)
-            qcons.append((ubar, m))
+        # u = ubar ∘ proj; solvable and integral since u kills the lineality lattice
+        columns = list(zip(*proj))
+        qcons = [(integer_solve(columns, u), m) for u, m in poly.constraints]
+        if any(ubar is None for ubar, _ in qcons):
+            raise ValueError("constraint does not descend to the quotient")
         qimages = [tuple(dot(q, g) for q in proj) for g in base.generators]
         qimages = [g for g in qimages if not is_zero(g)]
         qpoly = ShiftedPolyhedron(qrank, poly.side, tuple(qcons))
@@ -337,15 +339,6 @@ def dickson_decompose(poly: ShiftedPolyhedron, base: SemigroupBasis) -> ModuleGe
     return ModuleGenerators(base, gens)
 
 
-def _functional_through(proj: list[Vec], u: Vec) -> Vec:
-    # u = ubar ∘ proj; solvable and integral since u kills the lineality lattice
-    rows = [tuple(proj[i][c] for i in range(len(proj))) for c in range(len(u))]
-    sol = solve_rational(rows, u)
-    if sol is None or any(f.denominator != 1 for f in sol):
-        raise ValueError("constraint does not descend to the quotient")
-    return tuple(int(f) for f in sol)
-
-
 def _dickson_pointed(poly: ShiftedPolyhedron, base: SemigroupBasis) -> tuple[Vec, ...]:
     verts = poly.vertices()
     if not verts:
@@ -354,13 +347,8 @@ def _dickson_pointed(poly: ShiftedPolyhedron, base: SemigroupBasis) -> tuple[Vec
     hs = list(base.generators)
     lo = [floor(min(v[c] for v in verts)) + sum(min(0, h[c]) for h in hs) for c in range(n)]
     hi = [ceil(max(v[c] for v in verts)) + sum(max(0, h[c]) for h in hs) for c in range(n)]
-    found = []
-    for x in product(*(range(lo[c], hi[c] + 1) for c in range(n))):
-        if poly.contains(x):
-            found.append(tuple(x))
-    found.sort(key=lambda v: (sum(map(abs, v)), v))
     minimal = [
-        b for b in found
+        b for b in lattice_points(poly.constraints, lo, hi)
         if not any(poly.contains(vec_sub(b, h)) for h in hs)
     ]
     return tuple(sorted(minimal, key=lambda v: (sum(map(abs, v)), v)))

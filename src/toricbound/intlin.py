@@ -116,29 +116,18 @@ def solve_rational(rows, rhs):
     return x
 
 
-def integer_kernel(rows) -> list[Vec]:
-    """Basis of the lattice {x in Z^n : <row, x> = 0 for every row}.
-
-    Computed by unimodular column operations, so the result is a basis of the
-    full (saturated) kernel lattice.
+def _column_reduce(rows):
+    """(A·U, U, pivots) for the integer matrix A given by its rows and a
+    unimodular U. pivots[r] is the only column, among those that are no
+    earlier row's pivot, where row r of A·U is nonzero (None if there is
+    none); every column that is no row's pivot is zero in A·U.
     """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row to fix the ambient dimension")
-    n = len(rows[0])
     A = [list(r) for r in rows]
+    n = len(A[0])
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivot_cols: set[int] = set()
-
-    def colop_sub(j, k, q):
-        # col_j -= q * col_k
-        for row in A:
-            row[j] -= q * row[k]
-        for row in U:
-            row[j] -= q * row[k]
-
+    pivots: list[int | None] = []
     for r in range(len(A)):
-        free = [j for j in range(n) if j not in pivot_cols]
+        free = [j for j in range(n) if j not in pivots]
         # Euclidean reduction among the free columns of row r
         while True:
             nz = [j for j in free if A[r][j] != 0]
@@ -148,17 +137,26 @@ def integer_kernel(rows) -> list[Vec]:
             j0 = nz[0]
             for j in nz[1:]:
                 q = A[r][j] // A[r][j0]
-                colop_sub(j, j0, q)
-        nz = [j for j in free if A[r][j] != 0]
-        if nz:
-            pivot_cols.add(nz[0])
-    kernel = []
-    for j in range(n):
-        if j in pivot_cols:
-            continue
-        if all(A[r][j] == 0 for r in range(len(A))):
-            kernel.append(tuple(U[i][j] for i in range(n)))
-    return kernel
+                for row in A:
+                    row[j] -= q * row[j0]
+                for row in U:
+                    row[j] -= q * row[j0]
+        pivots.append(nz[0] if nz else None)
+    return A, U, pivots
+
+
+def integer_kernel(rows) -> list[Vec]:
+    """Basis of the lattice {x in Z^n : <row, x> = 0 for every row}.
+
+    Computed by unimodular column operations, so the result is a basis of the
+    full (saturated) kernel lattice.
+    """
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        raise ValueError("need at least one row to fix the ambient dimension")
+    _, U, pivots = _column_reduce(rows)
+    n = len(U)
+    return [tuple(U[i][j] for i in range(n)) for j in range(n) if j not in pivots]
 
 
 def hnf(rows) -> list[Vec]:
@@ -197,7 +195,7 @@ def hnf(rows) -> list[Vec]:
             basis.append(piv)
         col += 1
     # reduce entries above each pivot
-    for i in reversed(range(len(basis))):
+    for i in range(len(basis)):
         pcol = next(c for c in range(n) if basis[i][c] != 0)
         pv = basis[i][pcol]
         for j in range(i):
@@ -225,41 +223,12 @@ def integer_solve(rows, rhs):
     Returns None when no rational solution exists; raises if a rational
     solution exists but is not integral (the saturation hypothesis failed).
     """
-    rows = [tuple(r) for r in rows]
-    n = len(rows[0])
-    A = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivot_of_row: list[int | None] = []
-
-    def colop_sub(j, k, q):
-        for row in A:
-            row[j] -= q * row[k]
-        for row in U:
-            row[j] -= q * row[k]
-
-    used: set[int] = set()
-    for r in range(len(A)):
-        free = [j for j in range(n) if j not in used]
-        while True:
-            nz = [j for j in free if A[r][j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(A[r][j]))
-            j0 = nz[0]
-            for j in nz[1:]:
-                colop_sub(j, j0, A[r][j] // A[r][j0])
-        nz = [j for j in free if A[r][j] != 0]
-        if nz:
-            used.add(nz[0])
-            pivot_of_row.append(nz[0])
-        else:
-            pivot_of_row.append(None)
+    A, U, pivots = _column_reduce(rows)
+    n = len(U)
     # A (column-reduced) is lower "echelon"; solve A y = rhs with y supported on pivots
     y = [Fraction(0)] * n
-    for r in range(len(A)):
-        acc = sum(Fraction(A[r][j]) * y[j] for j in range(n))
-        need = Fraction(rhs[r]) - acc
-        j = pivot_of_row[r]
+    for r, j in enumerate(pivots):
+        need = Fraction(rhs[r]) - sum(a * b for a, b in zip(A[r], y))
         if j is None:
             if need != 0:
                 return None
@@ -270,6 +239,42 @@ def integer_solve(rows, rhs):
             raise ValueError("system has no integer solution; row lattice not saturated")
     yi = [int(f) for f in y]
     return tuple(sum(U[i][j] * yi[j] for j in range(n)) for i in range(n))
+
+
+def lattice_points(constraints, lo, hi) -> list[Vec]:
+    """The integer points x with lo <= x <= hi and <a, x> >= -m for every
+    (a, m) in constraints, in lexicographic order.
+
+    The leading coordinates run over the box; each fibre of the last
+    coordinate is cut exactly by floor/ceil of the constraints, so no point
+    is tested on its own.
+
+    >>> lattice_points([((1, 1), 0), ((-1, -1), 2)], (0, 0), (2, 2))
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    """
+    n = len(lo)
+    cons = list(constraints)
+    points: list[Vec] = []
+
+    def fibres(prefix: Vec, slack: list[int]):
+        # slack[i] = m_i + <a_i, prefix> over the coordinates fixed so far
+        k = len(prefix)
+        if k < n - 1:
+            for x in range(lo[k], hi[k] + 1):
+                fibres(prefix + (x,), [s + a[k] * x for (a, _), s in zip(cons, slack)])
+            return
+        first, last = lo[k], hi[k]
+        for (a, _), s in zip(cons, slack):
+            if a[k] > 0:
+                first = max(first, -(s // a[k]))
+            elif a[k] < 0:
+                last = min(last, s // -a[k])
+            elif s < 0:
+                return
+        points.extend(prefix + (x,) for x in range(first, last + 1))
+
+    fibres((), [m for _, m in cons])
+    return points
 
 
 def project_off_span(v, basis) -> Vec:

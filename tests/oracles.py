@@ -4,7 +4,9 @@ Each oracle decides its question by a method disjoint from the library's own
 algorithms: rank-2 cone membership by pairwise decomposition, Hilbert bases by
 box enumeration with an irreducibility filter, matrix inertia by the exact
 characteristic polynomial and Descartes' rule of signs, and lattice-point
-counts by direct enumeration.
+counts and lattice points of polyhedra by direct enumeration of a box,
+rational kernels by reduced row echelon form, and determinants by Laplace
+expansion.
 """
 
 from fractions import Fraction
@@ -86,6 +88,45 @@ def _solve_exact(rows, rhs):
     return x
 
 
+def det(rows):
+    """Determinant of a square integer matrix by Laplace expansion along the
+    first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def rational_kernel(rows, n):
+    """Basis of {x in Q^n : A x = 0} from the reduced row echelon form."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        k = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -mat[i][free]
+        basis.append(v)
+    return basis
+
+
 def hilbert_oracle(gens, bound=None):
     """Irreducible nonzero lattice points of a pointed rank-2 cone.
 
@@ -136,6 +177,13 @@ def inertia_oracle(rows):
     signs = [1 if c > 0 else -1 for c in cs[nz:] if c != 0]
     npos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return (npos, n - npos - nz, nz)
+
+
+def lattice_points_oracle(constraints, lo, hi):
+    """[x in Z^n : lo <= x <= hi, <a, x> >= -m for all (a, m)], by testing
+    every point of the box in lexicographic order."""
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return [x for x in box if all(dot(a, x) >= -m for a, m in constraints)]
 
 
 def count_points_oracle(constraints, bound):

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from toricbound import cli
 
 
@@ -151,6 +153,33 @@ class TestErrorHandling:
         code, _, err = run_cli(["stability", "--corpus", "example3"])
         assert code == 2
         assert "binomial or tentacle" in err
+
+    @pytest.mark.parametrize(
+        "rank, box, code", [(2, 64, 0), (2, 65, 2), (2, -1, 2), (3, 12, 0), (3, 13, 2)]
+    )
+    def test_box_limit(self, tmp_path, rank, box, code):
+        # the ray through (1, ..., 1) keeps the coverage check at the limit short
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps({"rank": rank, "side": "M", "generators": [["1"] * rank]}))
+        got, _, err = run_cli(["hilbert", "--input", str(path), "--box", str(box)])
+        assert got == code, err
+        if code:
+            assert "MAX_BOX_POINTS = 16641" in err
+
+    @pytest.mark.parametrize(
+        "command, corpus, nmax, code",
+        [
+            ("filtration", "strip", 100, 0),
+            ("filtration", "strip", 101, 2),
+            ("filtration", "strip", -1, 2),
+            ("stability", "tentacle-diag", 101, 2),
+        ],
+    )
+    def test_nmax_limit(self, command, corpus, nmax, code):
+        got, _, err = run_cli([command, "--corpus", corpus, "--nmax", str(nmax)])
+        assert got == code, err
+        if code:
+            assert "MAX_NMAX = 100" in err
 
     def test_surface_classify_rejects_singular_fan(self, tmp_path):
         path = tmp_path / "in.json"

@@ -4,6 +4,7 @@ import toricbound.bounded
 import toricbound.cones
 import toricbound.fans
 import toricbound.hilbert
+import toricbound.intlin
 import toricbound.linalg
 
 
@@ -12,6 +13,7 @@ def test_module_doctests():
         toricbound.linalg,
         toricbound.cones,
         toricbound.hilbert,
+        toricbound.intlin,
         toricbound.fans,
         toricbound.bounded,
     ):

@@ -7,6 +7,7 @@ from toricbound.cones import RationalCone
 from toricbound.hilbert import (
     SemigroupBasis,
     ShiftedPolyhedron,
+    _parallelepiped_points,
     binomial_parts,
     dickson_decompose,
     hilbert_basis,
@@ -15,7 +16,9 @@ from toricbound.hilbert import (
 )
 
 from oracles import (
+    _solve_exact,
     box_points,
+    det,
     hilbert_count_by_continued_fraction,
     hilbert_oracle,
 )
@@ -99,6 +102,18 @@ class TestSemigroupContains:
         assert semigroup_contains(SemigroupBasis(2, "M", ()), (0, 0))
         assert not semigroup_contains(SemigroupBasis(2, "M", ()), (1, 0))
 
+    @pytest.mark.parametrize(
+        "rays, point",
+        [
+            (((1, 0), (1, 2)), (1000, 1000)),
+            (((1, 0), (1, 3)), (1500, 2000)),
+            (((2, 1), (1, 3)), (2000, 2500)),
+        ],
+    )
+    def test_far_points(self, rays, point):
+        # thousands of generator steps from 0: deeper than the recursion limit
+        assert semigroup_contains(hilbert_basis(mcone(*rays)), point)
+
 
 ORTHANT_SEMIGROUP = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
 
@@ -168,6 +183,27 @@ class TestLatticeKernelRelations:
     def test_caps(self):
         with pytest.raises(ValueError):
             lattice_kernel_relations([(1, 0)] * 9)
+
+
+class TestParallelepipedPoints:
+    def test_random_simplicial_cones(self):
+        rng = random.Random(27)
+        for rank in (2, 3, 4):
+            checked = 0
+            while checked < 12:
+                simplex = tuple(
+                    tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank)
+                )
+                d = abs(det([list(g) for g in simplex]))
+                if d == 0:
+                    continue
+                points = _parallelepiped_points(simplex)
+                assert len(points) == d - 1, simplex
+                columns = [[g[c] for g in simplex] for c in range(rank)]
+                for x in points:
+                    t = _solve_exact(columns, x)
+                    assert all(0 <= ti < 1 for ti in t), (simplex, x, t)
+                checked += 1
 
 
 class TestHilbertProperties:
