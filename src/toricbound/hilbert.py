@@ -21,6 +21,7 @@ from math import ceil, floor
 from .cones import RationalCone
 from .intlin import (
     dot,
+    hnf,
     integer_kernel,
     integer_solve,
     is_zero,
@@ -89,14 +90,11 @@ class ShiftedPolyhedron:
         )
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
-        """All vertices, by enumerating feasible square subsystems."""
+        """All vertices: the feasible solutions of the nonsingular square subsystems."""
         n = self.rank
         verts: list[tuple[Fraction, ...]] = []
         for subset in combinations(self.constraints, n):
-            rows = [u for u, _ in subset]
-            if rank_of(rows) < n:
-                continue
-            sol = solve_rational(rows, [-m for _, m in subset])
+            sol = solve_rational([u for u, _ in subset], [-m for _, m in subset])
             if sol is None:
                 continue
             pt = tuple(sol)
@@ -365,10 +363,7 @@ def lattice_kernel_relations(gens) -> list[Vec]:
     if n > 4:
         raise ValueError("rank at most 4 supported")
     rows = [tuple(g[c] for g in gens) for c in range(n)]
-    kern = integer_kernel(rows)
-    from .intlin import hnf
-
-    return [tuple(r) for r in hnf(kern)]
+    return hnf(integer_kernel(rows))
 
 
 def binomial_parts(relation: Vec) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:

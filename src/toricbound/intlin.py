@@ -2,12 +2,15 @@
 
 Internal helpers shared by the cone, semigroup and fan machinery. Everything
 is arbitrary-precision (int / Fraction); nothing here ever touches a float.
+Lattices go through one unimodular column reduction (``_column_reduce``);
+ranks, square solves and matrix inertia through one fraction-free Bareiss
+step (``bareiss_step``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[int, ...]
 
@@ -48,72 +51,85 @@ def primitive_tuple(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
+def scale_to_integers(v) -> list[int]:
+    """The rational vector v times the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return [int(x * d) for x in v]
+
+
 def clear_denominators(v) -> Vec:
     """Scale a rational vector to the primitive integer vector with the same direction."""
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return primitive_tuple(tuple(int(f * lcm) for f in fracs))
+    return primitive_tuple(tuple(scale_to_integers(v)))
+
+
+def bareiss_step(pivot_row, c, rows, prev) -> list[list[int]]:
+    """Eliminate column c of the integer rows with pivot_row, fraction-free.
+
+    Every entry a of a row becomes (p·a - a_c·b) / prev, where p is
+    pivot_row[c], b the entry of pivot_row in a's column and prev the pivot
+    of the previous step (1 at the first). The division is exact: after each
+    step the entries are minors of the matrix the elimination started from
+    (Bareiss 1968), so they stay as small as those minors.
+    """
+    p = pivot_row[c]
+    return [[(p * a - r[c] * b) // prev for a, b in zip(r, pivot_row)] for r in rows]
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of a Bareiss row-echelon form of rows, and their pivot
+    columns. Each row is first scaled to integers; pivot row k is zero
+    before column pivots[k] and nonzero there.
+    """
+    rest = [scale_to_integers(r) for r in rows]
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(rest[0]) if rest else 0):
+        k = next((i for i, r in enumerate(rest) if r[c]), None)
+        if k is None:
+            continue
+        pivot = rest.pop(k)
+        rest = bareiss_step(pivot, c, rest, prev)
+        echelon.append(pivot)
+        pivots.append(c)
+        prev = pivot[c]
+    return echelon, pivots
 
 
 def rank_of(rows) -> int:
-    """Rank over Q of a list of integer or rational row vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows if not is_zero(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q of a list of integer or rational row vectors: the number of
+    pivots of their Bareiss echelon form.
+
+    >>> rank_of([(1, 2, 3), (2, 4, 6), (0, 1, 1)])
+    2
+    """
+    return len(_echelon(rows)[1])
 
 
 def solve_rational(rows, rhs):
-    """Solve A x = b exactly over Q; A given by rows. Returns None if inconsistent.
+    """The unique solution over Q of the square system A x = rhs, A given by
+    its rows, or None when A is singular.
 
-    For underdetermined systems an arbitrary particular solution is returned
-    (free variables set to zero).
+    Bareiss elimination of [A | rhs] ends with the determinant D of the
+    scaled rows as its last pivot, so back substitution runs exactly on the
+    integers D·x. Past the scaling of rational input, the n final divisions
+    by D are the only Fractions made.
+
+    >>> solve_rational([(2, 1), (1, 3)], [3, 5])
+    [Fraction(4, 5), Fraction(7, 5)]
+    >>> solve_rational([(1, 2), (2, 4)], [1, 2]) is None
+    True
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [a / pv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
+    n = len(rows)
+    echelon, pivots = _echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    det = echelon[-1][n - 1]
+    y = [0] * n
+    for k in reversed(range(n)):
+        row = echelon[k]
+        y[k] = (det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
+    return [Fraction(v, det) for v in y]
 
 
 def _column_reduce(rows):
@@ -162,44 +178,30 @@ def integer_kernel(rows) -> list[Vec]:
 def hnf(rows) -> list[Vec]:
     """Row-style Hermite normal form basis of the lattice spanned by the rows.
 
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    The result is the canonical basis of the row lattice; zero rows are dropped.
+    The column reduction of the transposed matrix is a unimodular row
+    reduction to echelon form. Its pivot rows are signed so that the pivots
+    are positive, and the entries above each pivot are reduced into
+    [0, pivot), first row first. The result is the canonical basis of the
+    row lattice; zero rows are dropped.
+
+    >>> hnf([(2, 4), (3, 5)])
+    [(1, 1), (0, 2)]
     """
-    work = [list(r) for r in rows if not is_zero(r)]
-    if not work:
+    rows = [r for r in rows if not is_zero(r)]
+    if not rows:
         return []
-    n = len(work[0])
+    A, _, pivots = _column_reduce(list(zip(*rows)))
+    cols: list[int] = []
     basis: list[list[int]] = []
-    col = 0
-    while col < n and work:
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            col += 1
-            continue
-        while True:
-            live = [r for r in work if r[col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: abs(r[col]))
-            r0 = live[0]
-            for r in live[1:]:
-                q = r[col] // r0[col]
-                for i in range(n):
-                    r[i] -= q * r0[i]
-        live = [r for r in work if r[col] != 0]
-        if live:
-            piv = live[0]
-            work.remove(piv)
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            basis.append(piv)
-        col += 1
-    # reduce entries above each pivot
-    for i in range(len(basis)):
-        pcol = next(c for c in range(n) if basis[i][c] != 0)
-        pv = basis[i][pcol]
+    for c, i in enumerate(pivots):
+        if i is not None:
+            row = [a[i] for a in A]
+            cols.append(c)
+            basis.append(row if row[c] > 0 else [-x for x in row])
+    for i, c in enumerate(cols):
+        pv = basis[i][c]
         for j in range(i):
-            q = basis[j][pcol] // pv
+            q = basis[j][c] // pv
             if q:
                 basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
     return [tuple(r) for r in basis]

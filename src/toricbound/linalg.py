@@ -2,8 +2,9 @@
 
 The two dual lattices are tagged 'M' (characters, monomial exponents) and 'N'
 (cocharacters, one-parameter subgroup directions). All matrix arithmetic is
-exact rational; inertia is computed by symmetric congruence elimination and
-never sees a floating-point number.
+exact rational; inertia is computed by fraction-free symmetric elimination on
+the matrix scaled to integers, with a unimodular congruence step where the
+diagonal is zero, and never sees a floating-point number.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlin import primitive_tuple
+from .intlin import bareiss_step, primitive_tuple, scale_to_integers
 
 SIDES = ("M", "N")
 OTHER_SIDE = {"M": "N", "N": "M"}
@@ -155,53 +156,46 @@ class SymmetricRationalMatrix:
 
 
 def inertia(mat: SymmetricRationalMatrix) -> Inertia:
-    """Exact eigenvalue sign counts via symmetric congruence elimination.
+    """Exact eigenvalue sign counts by fraction-free symmetric elimination.
 
-    A nonzero diagonal pivot contributes its sign and is eliminated by a rank-1
-    Schur complement. When the leading diagonal entry vanishes but its row does
-    not, the 2x2 block [[0, b], [b, c]] is indefinite and is eliminated as a
-    whole, contributing one +1 and one -1 (Haynsworth additivity). Zero rows
-    count toward n_zero directly.
+    The matrix is scaled to integers by the lcm of its denominators, which
+    keeps its inertia. Each step pivots on a nonzero diagonal entry p and
+    replaces every other entry by (p·a_ij - a_ik·a_kj) / prev, the Bareiss
+    step ``intlin.bareiss_step`` with prev the previous pivot (1 at first).
+    What remains is then prev times the Schur complement of the pivots taken
+    so far, whose own pivot is p / prev: by Sylvester's law of inertia the
+    step counts toward n_plus when p has the sign of prev and toward n_minus
+    otherwise. When every remaining diagonal entry is zero, a nonzero entry
+    a_0j is brought onto the diagonal by adding row and column j to row and
+    column 0, a unimodular congruence that makes a_00 = 2·a_0j and keeps
+    every division exact. A zero row is a zero eigenvalue of its own and is
+    dropped.
+
+    >>> inertia(SymmetricRationalMatrix([[0, 1], [1, 0]])).as_tuple()
+    (1, 1, 0)
     """
-    work = [list(row) for row in mat.rows]
+    n = mat.size
+    flat = scale_to_integers([x for row in mat.rows for x in row])
+    work = [flat[i * n:(i + 1) * n] for i in range(n)]
     n_plus = n_minus = n_zero = 0
+    prev = 1
     while work:
-        m = len(work)
-        d = work[0][0]
-        if d != 0:
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            new = [
-                [work[i][j] - work[i][0] * work[0][j] / d for j in range(1, m)]
-                for i in range(1, m)
-            ]
-            work = new
-            continue
-        j = next((k for k in range(1, m) if work[0][k] != 0), None)
-        if j is None:
-            n_zero += 1
-            work = [row[1:] for row in work[1:]]
-            continue
-        # bring column j next to the zero pivot, then split off the 2x2 block
-        if j != 1:
+        k = next((i for i, row in enumerate(work) if row[i]), None)
+        if k is None:
+            j = next((j for j, a in enumerate(work[0]) if a), None)
+            if j is None:
+                n_zero += 1
+                work = [row[1:] for row in work[1:]]
+                continue
+            work[0] = [a + b for a, b in zip(work[0], work[j])]
             for row in work:
-                row[1], row[j] = row[j], row[1]
-            work[1], work[j] = work[j], work[1]
-        b = work[0][1]
-        c = work[1][1]
-        n_plus += 1
-        n_minus += 1
-        b2 = b * b
-        new = []
-        for i in range(2, m):
-            u_i, v_i = work[i][0], work[i][1]
-            row = []
-            for k in range(2, m):
-                u_k, v_k = work[k][0], work[k][1]
-                corr = -c * u_i * u_k / b2 + (u_i * v_k + v_i * u_k) / b
-                row.append(work[i][k] - corr)
-            new.append(row)
-        work = new
+                row[0] += row[j]
+            k = 0
+        pivot = work.pop(k)
+        if (pivot[k] > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        work = [row[:k] + row[k + 1:] for row in bareiss_step(pivot, k, work, prev)]
+        prev = pivot[k]
     return Inertia(n_plus, n_minus, n_zero)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -10,7 +11,9 @@ from toricbound.intlin import (
     integer_kernel,
     integer_solve,
     lattice_points,
+    rank_of,
     saturate,
+    solve_rational,
 )
 
 from oracles import det, dot, lattice_points_oracle, rational_kernel
@@ -105,3 +108,82 @@ class TestIntegerSolve:
             integer_solve([(2, 4)], [1])
         with pytest.raises(ValueError, match="no integer solution"):
             integer_solve([(2, 0), (0, 3)], [2, 1])
+
+
+def random_rational_matrix(rng, m, n):
+    return [
+        tuple(Fraction(x, rng.randint(1, 4)) for x in row)
+        for row in random_matrix(rng, m, n)
+    ]
+
+
+def random_unimodular(rng, n):
+    """A product of elementary row operations and sign changes."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        if rng.random() < 0.2:
+            U[j] = [-a for a in U[j]]
+    return U
+
+
+class TestRankOf:
+    def test_matches_rational_kernel(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rows = random_rational_matrix(rng, rng.randint(1, 5), n)
+            assert rank_of(rows) == n - len(rational_kernel(rows, n)), rows
+
+    def test_zero_and_empty(self):
+        assert rank_of([]) == 0
+        assert rank_of([(0, 0), (0, 0)]) == 0
+
+
+class TestSolveRational:
+    def test_cramer(self):
+        rng = random.Random(35)
+        solved = singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            rows = random_rational_matrix(rng, n, n)[:n]
+            if n >= 2 and rng.random() < 0.3:
+                rows[-1] = tuple(2 * a - b for a, b in zip(rows[0], rows[1]))
+            rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            d = det([list(r) for r in rows])
+            x = solve_rational(rows, rhs)
+            if d == 0:
+                assert x is None, rows
+                singular += 1
+                continue
+            solved += 1
+            # Cramer's rule: x_j = det(A with column j replaced by rhs) / det(A)
+            for j in range(n):
+                swapped = [list(r[:j]) + [b] + list(r[j + 1:]) for r, b in zip(rows, rhs)]
+                assert x[j] == det(swapped) / d, (rows, rhs)
+        assert solved > 100 and singular > 50
+
+    def test_singular(self):
+        assert solve_rational([(1, 2), (2, 4)], [1, 2]) is None
+        assert solve_rational([(1, 2), (2, 4)], [1, 3]) is None
+        assert solve_rational([(0,)], [0]) is None
+
+
+class TestHnf:
+    def test_unimodular_invariance_and_form(self):
+        rng = random.Random(36)
+        for _ in range(300):
+            B = random_matrix(rng, 3, rng.randint(1, 5))
+            m, n = len(B), len(B[0])
+            U = random_unimodular(rng, m)
+            UB = [tuple(sum(u * b[c] for u, b in zip(urow, B)) for c in range(n)) for urow in U]
+            H = hnf(B)
+            assert hnf(UB) == H, (B, U)
+            assert len(H) == rank_of(B)
+            cols = [next(c for c, a in enumerate(row) if a) for row in H]
+            assert cols == sorted(set(cols))
+            for i, c in enumerate(cols):
+                assert H[i][c] > 0
+                assert all(0 <= H[j][c] < H[i][c] for j in range(i)), H
