@@ -7,7 +7,9 @@ tentacles have exactly computable growth cones and automatically satisfy the
 compatibility condition on adapted fans. General basic sets get three-valued
 answers backed by sound grid certificates: an interior witness for K0, and a
 curve certificate (one-parameter subgroup with first-order drift of the base
-point) for "the closure meets this boundary divisor".
+point) for "the closure meets this boundary divisor". Both certificates of
+a ray come from one pass over the grid that evaluates each initial form at
+most once per base point.
 """
 
 from __future__ import annotations
@@ -431,10 +433,6 @@ class Certificate:
     certified: bool
     witness: tuple | None
 
-    @property
-    def status(self) -> str:
-        return "In" if self.certified else "Inconclusive"
-
 
 def default_grid() -> list[Point]:
     """All points with coordinates in {±1, ±2, ±1/2}, squared."""
@@ -451,65 +449,60 @@ def default_drifts() -> list[Point]:
 def certify_K0_membership(s: BasicSet, v, grid=None) -> Certificate:
     """Sound test for v ∈ K0(S): a grid point with all initial forms positive
     witnesses an open set swept into S along direction v. Never claims 'not in'."""
-    v = _direction(v, s.rank)
-    grid = default_grid() if grid is None else grid
-    forms = [initial_form(f, v) for f in s.polys]
-    for xi in grid:
-        if any(Fraction(x) == 0 for x in xi):
-            continue
-        if all(g.evaluate(xi) > 0 for g in forms):
-            return Certificate(True, (tuple(Fraction(x) for x in xi),))
-    return Certificate(False, None)
+    return _scan_ray(s, v, grid, ())[0]
 
 
 def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate:
     """Sound test for 'the closure of S meets the divisor of ray v'.
 
     Searches for a curve lambda_v(t) * (xi + t*eta) that lies in S for all
-    small t > 0; its limit is a point of the divisor's dense orbit. With zero
-    drift this is exactly membership of xi in S(v), decided through the
-    component sequences; nonzero drift catches sets that escape to infinity
-    only along moving base points."""
+    small t > 0; its limit is a point of the divisor's dense orbit. The zero
+    drift, tried first at each base point, is exactly membership of xi in
+    S(v); nonzero drift catches sets that escape to infinity only along
+    moving base points."""
+    return _scan_ray(s, v, grid, drifts)[1]
+
+
+def _scan_ray(s: BasicSet, v, grid, drifts) -> tuple[Certificate, Certificate]:
+    """(K0 certificate, closure certificate) of ray v from one pass over the grid.
+
+    The initial forms are evaluated at each base point xi in turn, each at
+    most once. The value of in_v(f) is the lowest-order coefficient of f along
+    every curve lambda_v(t)(xi + t*eta): a negative one rules xi out for any
+    drift and ends the evaluations there, all positive ones make xi the K0
+    witness (and a zero-drift closure witness) and end the scan, and the
+    forms that vanish are decided by the leading sign of the series, with the
+    zero drift first and then the given drifts in order."""
     v = _direction(v, s.rank)
     grid = default_grid() if grid is None else grid
     drifts = default_drifts() if drifts is None else drifts
-    seqs = [lambda_sequence(f, v) for f in s.polys]
-    for xi in grid:
-        xi = tuple(Fraction(x) for x in xi)
-        if any(x == 0 for x in xi):
-            continue
-        ok = True
-        for seq in seqs:
-            lead = Fraction(0)
-            for g in seq:
-                val = g.evaluate(xi)
-                if val != 0:
-                    lead = val
-                    break
-            if lead <= 0:
-                ok = False
-                break
-        if ok:
-            return Certificate(True, (xi, (Fraction(0), Fraction(0))))
+    zero = (Fraction(0),) * s.rank
+    etas = [zero] + [tuple(Fraction(x) for x in eta) for eta in drifts]
     forms = [initial_form(f, v) for f in s.polys]
+    closure = Certificate(False, None)
     for xi in grid:
         xi = tuple(Fraction(x) for x in xi)
         if any(x == 0 for x in xi):
             continue
-        # the lowest series order has coefficient in_v(f)(xi) whatever the
-        # drift: a negative one rules this base point out, a positive one
-        # settles that inequality, and only vanishing ones need the series
-        lead_vals = [g.evaluate(xi) for g in forms]
-        if any(val < 0 for val in lead_vals):
+        vals = []
+        for g in forms:
+            vals.append(g.evaluate(xi))
+            if vals[-1] < 0:
+                break
+        if vals[-1] < 0:
             continue
-        pending = [f for f, val in zip(s.polys, lead_vals) if val == 0]
+        pending = [f for f, val in zip(s.polys, vals) if val == 0]
         if not pending:
-            continue  # the zero-drift scan above already rejected this point
-        for eta in drifts:
-            eta = tuple(Fraction(x) for x in eta)
+            if not closure.certified:
+                closure = Certificate(True, (xi, zero))
+            return Certificate(True, (xi,)), closure
+        if closure.certified:
+            continue
+        for eta in etas:
             if all(_drift_leading_sign(f, v, xi, eta) > 0 for f in pending):
-                return Certificate(True, (xi, eta))
-    return Certificate(False, None)
+                closure = Certificate(True, (xi, eta))
+                break
+    return Certificate(False, None), closure
 
 
 def _drift_leading_sign(f: LaurentPoly, v: Vec, xi: Point, eta: Point, extra: int = 8) -> int:
@@ -566,10 +559,11 @@ def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=N
     """Decide the toric compatibility condition for S on an adapted fan.
 
     Binomial sets and tentacles satisfy it on every adapted fan. For basic
-    sets each boundary ray outside sigma is classified three-valued: a
-    certified interior witness clears it; a certified closure meeting without
-    an interior witness reports a violation (density itself is not certified);
-    otherwise the overall verdict degrades to Unknown.
+    sets each boundary ray outside sigma is classified three-valued by one
+    grid pass (``_scan_ray``): a certified interior witness clears it; a
+    certified closure meeting without an interior witness reports a violation
+    (density itself is not certified); otherwise the overall verdict degrades
+    to Unknown.
     """
     _check_sigma(sigma, 2 if isinstance(s, BasicSet) else s.rank)
     _check_adapted(fan, sigma, s)
@@ -590,9 +584,10 @@ def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=N
     for u in fan.rays:
         if sigma.contains(u):
             continue
-        if certify_K0_membership(s, u, grid).certified:
+        k0, closure = _scan_ray(s, u, grid, drifts)
+        if k0.certified:
             continue
-        if certify_orbit_meeting(s, u, grid, drifts).certified:
+        if closure.certified:
             violated.append(u)
         else:
             unknown.append(u)

@@ -75,6 +75,9 @@ MAX_BOX_POINTS = 129 ** 2
 # `filtration` and `stability` compute every level 0..nmax; the work grows
 # about as nmax^3.
 MAX_NMAX = 100
+# `--grid` values make a square grid of base points; each ray outside sigma
+# may evaluate every initial form at every point and try every drift there.
+MAX_GRID_VALUES = 32
 
 
 @dataclass
@@ -126,6 +129,11 @@ def _parse_grid_spec(spec: str):
     if not vals:
         raise SchemaError("grid specification is empty")
     vals = sorted(set(vals))
+    if len(vals) > MAX_GRID_VALUES:
+        raise SchemaError(
+            f"--grid has {len(vals)} distinct values; at most "
+            f"MAX_GRID_VALUES = {MAX_GRID_VALUES} are allowed"
+        )
     grid = [tuple(p) for p in product(vals, repeat=2)]
     dvals = sorted(set(vals) | {Fraction(0)})
     drifts = [tuple(p) for p in product(dvals, repeat=2) if any(p)]
@@ -326,9 +334,9 @@ def main(argv=None) -> int:
     cfg.output_path = getattr(args, "output", None)
     cfg.n_max = getattr(args, "nmax", 5)
     cfg.box = getattr(args, "box", None)
-    if getattr(args, "grid", None):
-        cfg.grid, cfg.drifts = _parse_grid_spec(args.grid)
     try:
+        if getattr(args, "grid", None):
+            cfg.grid, cfg.drifts = _parse_grid_spec(args.grid)
         if not 0 <= cfg.n_max <= MAX_NMAX:
             raise SchemaError(f"--nmax {cfg.n_max} is outside 0..MAX_NMAX = {MAX_NMAX}")
         result = _DISPATCH[cfg.command](cfg)

@@ -68,7 +68,9 @@ def filtration_level(fs: FSData, n: int) -> FiltrationLevel:
         raise ValueError("level index must be nonnegative")
     poly = level_polyhedron(fs, n)
     gens = dickson_decompose(poly, fs.dual_basis)
-    dim = len(gens.generators) if poly.recession_cone().is_zero() else INFINITE
+    # dickson_decompose has checked that the recession cone is the cone of
+    # the bounded ring, so the level is finite iff that ring is trivial
+    dim = len(gens.generators) if fs.dual_basis.is_trivial() else INFINITE
     return FiltrationLevel(fs, n, poly, gens, dim)
 
 

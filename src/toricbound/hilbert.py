@@ -119,7 +119,7 @@ def hilbert_basis(cone: RationalCone) -> SemigroupBasis:
     if cone.is_zero():
         return SemigroupBasis(cone.rank, cone.side, ())
     if cone.is_pointed():
-        gens = _hilbert_pointed(cone.extreme_rays(), cone.rank, cone.side)
+        gens = _hilbert_pointed(cone)
         return SemigroupBasis(cone.rank, cone.side, gens)
     lin = cone.lineality_basis
     proj = integer_kernel(lin)
@@ -127,17 +127,13 @@ def hilbert_basis(cone: RationalCone) -> SemigroupBasis:
         # the cone is the whole space
         return SemigroupBasis(cone.rank, cone.side, (), lin)
     images = [tuple(dot(q, g) for q in proj) for g in cone.extreme_rays()]
-    qgens = _hilbert_pointed_from_vectors(images, len(proj), cone.side)
+    qgens = _hilbert_pointed(RationalCone.from_generators(images, len(proj), cone.side))
     lifts = sorted(integer_solve(proj, h) for h in qgens)
     return SemigroupBasis(cone.rank, cone.side, tuple(lifts), lin)
 
 
-def _hilbert_pointed_from_vectors(vectors, rank: int, side: str) -> tuple[Vec, ...]:
-    cone = RationalCone.from_generators(vectors, rank, side)
-    return _hilbert_pointed(cone.extreme_rays(), cone.rank, cone.side)
-
-
-def _hilbert_pointed(rays: tuple[Vec, ...], rank: int, side: str) -> tuple[Vec, ...]:
+def _hilbert_pointed(cone: RationalCone) -> tuple[Vec, ...]:
+    rays, rank = cone.extreme_rays(), cone.rank
     if not rays:
         return ()
     d = rank_of(rays)
@@ -147,11 +143,9 @@ def _hilbert_pointed(rays: tuple[Vec, ...], rank: int, side: str) -> tuple[Vec, 
         coords = [integer_solve(columns, g) for g in rays]
         if None in coords:
             raise ValueError("vector is not in the saturated span lattice")
-        sub = _hilbert_pointed_from_vectors(coords, d, side)
+        sub = _hilbert_pointed(RationalCone.from_generators(coords, d, cone.side))
         back = [tuple(sum(c[i] * span[i][j] for i in range(d)) for j in range(rank)) for c in sub]
         return tuple(sorted(back))
-    cone = RationalCone.from_generators(rays, rank, side)
-    rays = cone.extreme_rays()
     candidates: set[Vec] = set(rays)
     for simplex in _triangulate(rays, rank):
         candidates |= _parallelepiped_points(simplex)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from .bounded import (
     BasicSet,
     BinomialSet,
-    Certificate,
-    FSData,
     LaurentPoly,
     ProblemSet,
     TCReport,
@@ -23,7 +21,7 @@ from .bounded import (
 from .cones import RationalCone
 from .fans import Fan2D, make_fan
 from .filtration import FiltrationLevel, StabilityReport
-from .hilbert import ModuleGenerators, SemigroupBasis
+from .hilbert import SemigroupBasis
 from .linalg import Inertia, SymmetricRationalMatrix
 from .surface import IitakaResult
 
@@ -167,13 +165,6 @@ def semigroup_to_json(basis: SemigroupBasis) -> dict:
     }
 
 
-def module_generators_to_json(mg: ModuleGenerators) -> dict:
-    return {
-        "base": semigroup_to_json(mg.base),
-        "generators": _vecs_json(mg.generators),
-    }
-
-
 # -- Laurent polynomials ---------------------------------------------------------
 
 
@@ -261,32 +252,12 @@ def tc_report_to_json(report: TCReport) -> dict:
     }
 
 
-def certificate_to_json(cert: Certificate) -> dict:
-    out: dict = {"status": cert.status}
-    if cert.witness is not None:
-        point = cert.witness[0]
-        out["witness_point"] = [str(x) for x in point]
-        if len(cert.witness) > 1:
-            out["witness_drift"] = [str(x) for x in cert.witness[1]]
-    return out
-
-
 def iitaka_to_json(res: IitakaResult) -> dict:
     return {
         "trdeg": res.trdeg,
         "ring_shape": res.ring_shape.value,
         "inertia": list(res.signature_route.as_tuple()),
         "geometric_case": res.geometric_case.value,
-    }
-
-
-def fs_to_json(fs: FSData) -> dict:
-    return {
-        "rays": [
-            {"ray": _vec_json(u), "in_sigma": in_sigma} for u, in_sigma in fs.rays
-        ],
-        "support_hull": cone_to_json(fs.support_hull),
-        "bounded_basis": semigroup_to_json(fs.dual_basis),
     }
 
 

@@ -5,13 +5,15 @@ algorithms: rank-2 cone membership by pairwise decomposition, Hilbert bases by
 box enumeration with an irreducibility filter, matrix inertia by the exact
 characteristic polynomial and Descartes' rule of signs, and lattice-point
 counts and lattice points of polyhedra by direct enumeration of a box,
-rational kernels by reduced row echelon form, and determinants by Laplace
-expansion.
+rational kernels by reduced row echelon form, determinants by Laplace
+expansion, and the grid certificates of the compatibility check by direct
+search with exactly expanded curve polynomials.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 
 def cross(a, b):
@@ -243,3 +245,88 @@ def _bezout(x, y):
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
+
+
+@lru_cache(maxsize=4096)
+def _monomial(xi, e):
+    return prod(x ** k for x, k in zip(xi, e))
+
+
+def _monomial_value(terms, xi):
+    """sum c * xi^e over the terms, for Fraction coordinates xi."""
+    return sum(c * _monomial(xi, e) for e, c in terms)
+
+
+def _times_linear(p, a, b):
+    """The coefficient list of p(t) * (a + b t)."""
+    return [a * x + b * y for x, y in zip(p + [0], [0] + p)]
+
+
+def curve_sign(terms, v, xi, eta):
+    """Sign of f(t^v * (xi + t eta)) for small t > 0, f = sum c x^e over terms.
+
+    With m_i the least exponent of coordinate i and dmin the least <e, v>,
+    f = t^dmin * prod (xi_i + t eta_i)^m_i * P(t) for the polynomial
+    P(t) = sum c t^(<e, v> - dmin) prod (xi_i + t eta_i)^(e_i - m_i), expanded
+    here exactly by repeated multiplication with the linear factors. The
+    prefactor has the sign of prod xi_i^m_i near t = 0, and P contributes the
+    sign of its lowest nonzero coefficient (0 when P vanishes identically)."""
+    degs = [dot(e, v) for e, _ in terms]
+    dmin = min(degs)
+    lows = [min(e[i] for e, _ in terms) for i in range(len(xi))]
+    total = []
+    for (e, c), d in zip(terms, degs):
+        p = [Fraction(0)] * (d - dmin) + [Fraction(c)]
+        for x, h, k, lo in zip(xi, eta, e, lows):
+            for _ in range(k - lo):
+                p = _times_linear(p, Fraction(x), Fraction(h))
+        total = [a + b for a, b in zip(total + [0] * len(p), p + [0] * len(total))]
+    lead = next((c for c in total if c != 0), 0)
+    unit = prod(Fraction(x) ** lo for x, lo in zip(xi, lows))
+    return ((lead > 0) - (lead < 0)) * (1 if unit > 0 else -1)
+
+
+def tc_ray_oracle(polys, v, grid, drifts):
+    """(in K0, closure meets the divisor) for ray v of the basic set
+    {f > 0 for f in polys}, each f a list of (exponent, coefficient) terms.
+
+    Decided by direct search over the base points of the grid in the torus:
+    K0 by evaluating the terms of least v-degree; the closure first by the
+    sign of the first nonzero v-homogeneous component of every f (zero
+    drift), then, at base points where no initial form is negative, by
+    ``curve_sign`` along every drift."""
+    points = [xi for xi in grid if all(x != 0 for x in xi)]
+    comps = []
+    for f in polys:
+        by_degree = {}
+        for e, c in f:
+            by_degree.setdefault(dot(e, v), []).append((e, c))
+        comps.append([by_degree[d] for d in sorted(by_degree)])
+    initials = [[_monomial_value(seq[0], xi) for seq in comps] for xi in points]
+    in_k0 = any(all(val > 0 for val in vals) for vals in initials)
+
+    def first_nonzero(seq, xi):
+        return next((val for g in seq if (val := _monomial_value(g, xi)) != 0), 0)
+
+    met = any(all(first_nonzero(seq, xi) > 0 for seq in comps) for xi in points)
+    met = met or any(
+        all(curve_sign(f, v, xi, eta) > 0 for f in polys)
+        for xi, vals in zip(points, initials)
+        if all(val >= 0 for val in vals)
+        for eta in drifts
+    )
+    return in_k0, met
+
+
+def tc_oracle(polys, rays, grid, drifts):
+    """(per-ray decisions, status, witness ray) of the compatibility check
+    over the given rays outside sigma: Violated at the least ray whose closure
+    meeting is certified without a K0 witness, else Unknown if some ray has
+    neither, else Verified."""
+    decided = {u: tc_ray_oracle(polys, u, grid, drifts) for u in rays}
+    violated = sorted(u for u, (k0, met) in decided.items() if not k0 and met)
+    if violated:
+        return decided, "Violated", violated[0]
+    if any(not k0 for k0, _ in decided.values()):
+        return decided, "Unknown", None
+    return decided, "Verified", None

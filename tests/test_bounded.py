@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from toricbound.bounded import (
     subfan_FS,
 )
 from toricbound.cones import RationalCone
+
+from oracles import tc_oracle
 
 ORTHANT = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
 ZERO = RationalCone.zero(2, "N")
@@ -361,6 +364,77 @@ class TestCertifiers:
 
     def test_orbit_sound_negative(self):
         assert not certify_orbit_meeting(EX4, (1, 0)).certified
+
+
+def grid_and_drifts(values, drift_values):
+    grid = [tuple(map(Fraction, p)) for p in product(values, repeat=2)]
+    drifts = [tuple(map(Fraction, p)) for p in product(drift_values, repeat=2) if any(p)]
+    return grid, drifts
+
+
+def custom(values):
+    """The grid and drifts that `--grid` builds from these values."""
+    return grid_and_drifts(values, list(values) + [0]) * 2
+
+
+# (grid, drifts) given to the library, then the point sets given to the oracle
+GRIDS = (
+    (None, None) + grid_and_drifts([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)],
+                                   [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]),
+    custom([1, -1, 3, Fraction(-1, 3)]),
+    custom([0, 1, 2, Fraction(-1, 2), -3]),  # the points with a zero coordinate are skipped
+)
+UNKNOWN_SET = BasicSet(2, (lp({(0, 0): 1, (1, 0): -1}), X, Y))
+
+
+def random_basic_set(rng):
+    polys = []
+    for _ in range(rng.randint(2, 4)):
+        exps = rng.sample(list(product(range(-2, 3), repeat=2)), rng.randint(2, 4))
+        polys.append(lp({e: rng.choice((-1, 1)) * rng.randint(1, 3) for e in exps}))
+    return BasicSet(2, tuple(polys))
+
+
+class TestAgainstOracle:
+    """Every per-ray certificate and every verdict of the compatibility check
+    against ``oracles.tc_oracle``. Exponents lie in [-2, 2], so the expansion
+    depth of the drift test (the v-degree spread plus 8) reaches the order of
+    every nonvanishing curve polynomial and the exact oracle must agree."""
+
+    def check(self, s, sigma, grids, seen):
+        fan = adapted_fan(s, sigma)
+        rays = [u for u in fan.rays if not sigma.contains(u)]
+        polys = [f.terms for f in s.polys]
+        for grid, drifts, ogrid, odrifts in grids:
+            decided, status, witness = tc_oracle(polys, rays, ogrid, odrifts)
+            for u in rays:
+                assert certify_K0_membership(s, u, grid).certified == decided[u][0], (s, u)
+                cert = certify_orbit_meeting(s, u, grid, drifts)
+                assert cert.certified == decided[u][1], (s, u)
+                if cert.certified and any(cert.witness[1]):
+                    seen.add("drift")
+            report = check_tc(fan, sigma, s, grid, drifts)
+            assert (report.status.value, report.witness_ray) == (status, witness), s
+            seen.add(status)
+
+    def test_examples(self):
+        # the last configuration has no drifts: closures rest on the zero drift
+        no_drifts = (None, (), GRIDS[0][2], [])
+        seen = set()
+        for s, sigma in ((EX3, ORTHANT), (EX4, ZERO), (UNKNOWN_SET, ZERO)):
+            self.check(s, sigma, GRIDS + (no_drifts,), seen)
+        assert seen == {"Violated", "Unknown", "drift"}
+
+    def test_random_basic_sets(self):
+        # each set under one of the three grids in turn, on either sigma
+        rng = random.Random(46)
+        seen = {grid: set() for grid in range(len(GRIDS))}
+        for i in range(204):
+            grid = i % len(GRIDS)
+            sigma = (ORTHANT, ZERO)[i // len(GRIDS) % 2]
+            self.check(random_basic_set(rng), sigma, GRIDS[grid:grid + 1], seen[grid])
+        for found in seen.values():
+            assert found == {"Verified", "Violated", "Unknown", "drift"}
 
 
 class TestBinomialNormalization:

@@ -181,6 +181,24 @@ class TestErrorHandling:
         if code:
             assert "MAX_NMAX = 100" in err
 
+    @pytest.mark.parametrize("count, code", [(32, 0), (33, 2)])
+    def test_grid_limit(self, count, code):
+        # +-k and +-1/(k+1) for k = 1, 2, ..., cut to `count` distinct values
+        vals = [f"{s}{x}" for k in range(1, count) for x in (k, f"1/{k + 1}") for s in "-+"]
+        grid = "--grid=" + ",".join(vals[:count])  # one token: the list starts with '-'
+        got, out, err = run_cli(["tc-check", "--corpus", "example3", grid])
+        assert got == code, err
+        if code:
+            assert "MAX_GRID_VALUES = 32" in err and out == ""
+        else:
+            assert json.loads(out)["status"] == "Violated"
+
+    @pytest.mark.parametrize("spec", ["a,1", ",", "1/0"])
+    def test_malformed_grid(self, spec):
+        code, out, err = run_cli(["tc-check", "--corpus", "example3", "--grid", spec])
+        assert code == 2 and out == ""
+        assert "grid" in err and "Traceback" not in err
+
     def test_surface_classify_rejects_singular_fan(self, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(

@@ -1,21 +1,23 @@
 import doctest
+import importlib
+import pkgutil
 
-import toricbound.bounded
-import toricbound.cones
-import toricbound.fans
-import toricbound.hilbert
-import toricbound.intlin
-import toricbound.linalg
+import toricbound
+
+# every module of the package except __main__, which runs the command line
+# when imported
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(toricbound.__path__)
+    if info.name != "__main__"
+)
+
+
+def test_discovery_finds_the_modules_with_doctests():
+    assert {"bounded", "cones", "fans", "hilbert", "intlin", "linalg"} <= set(MODULES)
 
 
 def test_module_doctests():
-    for mod in (
-        toricbound.linalg,
-        toricbound.cones,
-        toricbound.hilbert,
-        toricbound.intlin,
-        toricbound.fans,
-        toricbound.bounded,
-    ):
+    for name in MODULES:
+        mod = importlib.import_module(f"toricbound.{name}")
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
