@@ -8,8 +8,14 @@ compatibility condition on adapted fans. General basic sets get three-valued
 answers backed by sound grid certificates: an interior witness for K0, and a
 curve certificate (one-parameter subgroup with first-order drift of the base
 point) for "the closure meets this boundary divisor". Both certificates of
-a ray come from one pass over the grid that evaluates each initial form at
-most once per base point.
+a ray come from one pass over the grid that takes the sign of each initial
+form at most once per base point.
+
+Every certificate is decided in integer arithmetic: each polynomial is
+written once as x^lows * F / den with F an integer polynomial, each
+coordinate as a numerator over a positive denominator, and a sign is the sign
+of an integer sum. The drift test takes the lowest nonzero coefficient of the
+exact integer curve polynomial P(t), so no truncation depth is involved.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, lcm
+from typing import NamedTuple
 
 from .cones import RationalCone
 from .fans import Fan2D, make_fan
@@ -88,21 +96,92 @@ class LaurentPoly:
         return LaurentPoly(self.rank, out)
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point with nonzero rational coordinates."""
-        point = [Fraction(x) for x in point]
-        if any(x == 0 for x in point):
+        """Exact value at a point with nonzero rational coordinates.
+
+        Computed in integers on the cleared form (``_clear``) at the
+        numerators a_i and denominators b_i of the point, with one division
+        at the end: f(a/b) = _cleared_sum * prod (a_i/b_i)^lows_i
+        / (den * prod b_i^spans_i)."""
+        point = _split(point)
+        if any(a == 0 for a, _ in point):
             raise ValueError("evaluation needs nonzero coordinates")
-        total = Fraction(0)
-        for exp, coef in self.terms:
-            val = coef
-            for x, e in zip(point, exp):
-                val *= x**e
-            total += val
-        return total
+        if not self.terms:
+            return Fraction(0)
+        g = _clear(self.terms)
+        num, den = _cleared_sum(g.terms, point), g.den
+        for (a, b), lo, span in zip(point, g.lows, g.spans):
+            p, q = (a, b) if lo >= 0 else (b, a)
+            num *= p ** abs(lo)
+            den *= q ** abs(lo) * b**span
+        return Fraction(num, den)
 
     def __repr__(self):
         parts = [f"{c}*x^{e}" for e, c in self.terms] or ["0"]
         return " + ".join(parts)
+
+
+class _Cleared(NamedTuple):
+    """A Laurent polynomial with its denominators cleared:
+    f = x^lows * sum C x^k / den over the terms (C, e, ((k_i, r_i), ...)).
+
+    lows_i is the least exponent of coordinate i and spans_i = max_i - lows_i,
+    den > 0 is the lcm of the coefficient denominators, C = c * den an integer
+    and, per coordinate, k_i = e_i - lows_i and r_i = spans_i - k_i, both >= 0."""
+
+    lows: Vec
+    spans: Vec
+    den: int
+    terms: tuple[tuple[int, Vec, tuple[tuple[int, int], ...]], ...]
+
+
+def _clear(terms) -> _Cleared:
+    exps = [e for e, _ in terms]
+    lows = tuple(map(min, zip(*exps)))
+    tops = tuple(map(max, zip(*exps)))
+    den = lcm(*(c.denominator for _, c in terms))
+    return _Cleared(
+        lows,
+        tuple(hi - lo for lo, hi in zip(lows, tops)),
+        den,
+        tuple(
+            (c.numerator * (den // c.denominator), e,
+             tuple((x - lo, hi - x) for x, lo, hi in zip(e, lows, tops)))
+            for e, c in terms
+        ),
+    )
+
+
+def _split(point) -> tuple[tuple[int, int], ...]:
+    """The numerators and positive denominators of rational coordinates."""
+    out = []
+    for x in point:
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        out.append((x.numerator, x.denominator))
+    return tuple(out)
+
+
+def _cleared_sum(terms, point) -> int:
+    """sum C * prod a_i^k_i * b_i^r_i over cleared terms at the split point
+    ((a_i, b_i), ...). For all the terms of f this is
+    f(a/b) * den * prod b_i^spans_i / prod (a_i/b_i)^lows_i; for a subset of
+    them (an initial form) the same with f restricted to that subset."""
+    total = 0
+    for c, _, powers in terms:
+        for (a, b), (k, r) in zip(point, powers):
+            c *= a**k * b**r
+        total += c
+    return total
+
+
+def _unit_sign(lows: Vec, point) -> int:
+    """The sign of prod xi_i^lows_i at the split point xi."""
+    odd = sum(lo & 1 for lo, (a, _) in zip(lows, point) if a < 0)
+    return -1 if odd & 1 else 1
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _direction(v, rank: int) -> Vec:
@@ -448,8 +527,9 @@ def default_drifts() -> list[Point]:
 
 def certify_K0_membership(s: BasicSet, v, grid=None) -> Certificate:
     """Sound test for v ∈ K0(S): a grid point with all initial forms positive
-    witnesses an open set swept into S along direction v. Never claims 'not in'."""
-    return _scan_ray(s, v, grid, ())[0]
+    witnesses an open set swept into S along direction v. Never claims 'not in'.
+    Decided in integer arithmetic (see ``_scan_ray``)."""
+    return _scan_ray(_direction(v, s.rank), *_prepare(s, grid, ()))[0]
 
 
 def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate:
@@ -459,100 +539,109 @@ def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate
     small t > 0; its limit is a point of the divisor's dense orbit. The zero
     drift, tried first at each base point, is exactly membership of xi in
     S(v); nonzero drift catches sets that escape to infinity only along
-    moving base points."""
-    return _scan_ray(s, v, grid, drifts)[1]
+    moving base points. The sign of each f along a curve is decided in
+    integer arithmetic by the exact curve polynomial P(t) of
+    ``_curve_sign``, with no truncation depth."""
+    return _scan_ray(_direction(v, s.rank), *_prepare(s, grid, drifts))[1]
 
 
-def _scan_ray(s: BasicSet, v, grid, drifts) -> tuple[Certificate, Certificate]:
-    """(K0 certificate, closure certificate) of ray v from one pass over the grid.
+def _curve_sign(g: _Cleared, shifts, point, eta) -> int:
+    """Sign of f(lambda_v(t)(xi + t*eta)) for small t > 0, 0 when it vanishes
+    identically; shifts are the <e, v> - dmin of the terms of g.
 
-    The initial forms are evaluated at each base point xi in turn, each at
-    most once. The value of in_v(f) is the lowest-order coefficient of f along
-    every curve lambda_v(t)(xi + t*eta): a negative one rules xi out for any
-    drift and ends the evaluations there, all positive ones make xi the K0
-    witness (and a zero-drift closure witness) and end the scan, and the
-    forms that vanish are decided by the leading sign of the series, with the
-    zero drift first and then the given drifts in order."""
-    v = _direction(v, s.rank)
+    With xi_i = a_i/b_i and eta_i = h_i/hb_i (b_i, hb_i > 0),
+    f(lambda_v(t)(xi + t*eta)) = t^dmin * prod (xi_i + t*eta_i)^lows_i * P(t)
+    / (den * prod (b_i*hb_i)^spans_i) for the integer polynomial
+    P(t) = sum C t^shift prod (a_i*hb_i + t*h_i*b_i)^k_i (b_i*hb_i)^r_i,
+    expanded here exactly. Near t = 0 the prefactor has the sign of
+    prod xi_i^lows_i, and P the sign of its lowest nonzero coefficient."""
+    lines = [(a * hb, h * b, b * hb) for (a, b), (h, hb) in zip(point, eta)]
+    total: list[int] = []
+    for (c, _, powers), shift in zip(g.terms, shifts):
+        p = [c]
+        for (alpha, beta, w), (k, r) in zip(lines, powers):
+            p = _times_linear_power(p, alpha, beta, k, w**r)
+        total += [0] * (shift + len(p) - len(total))
+        for j, x in enumerate(p, shift):
+            total[j] += x
+    lead = next((x for x in total if x), 0)
+    return _sign(lead) * _unit_sign(g.lows, point)
+
+
+def _times_linear_power(p: list[int], alpha: int, beta: int, k: int, w: int) -> list[int]:
+    """The coefficients of p(t) * (alpha + t*beta)^k * w."""
+    q = [comb(k, j) * alpha ** (k - j) * beta**j * w for j in range(k + 1)]
+    out = [0] * (len(p) + k)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q, i):
+                out[j] += x * y
+    return out
+
+
+def _prepare(s: BasicSet, grid, drifts):
+    """(cleared polys, base points, drifts) of the scans of one problem.
+
+    Each base point is the triple (point, split point, unit signs of the
+    polys there) and each drift the pair (point, split point), so that no
+    scan splits a coordinate again. Base points with a zero coordinate lie
+    outside the torus and are dropped; the zero drift comes first."""
     grid = default_grid() if grid is None else grid
     drifts = default_drifts() if drifts is None else drifts
-    zero = (Fraction(0),) * s.rank
-    etas = [zero] + [tuple(Fraction(x) for x in eta) for eta in drifts]
-    forms = [initial_form(f, v) for f in s.polys]
-    closure = Certificate(False, None)
+    polys = [_clear(f.terms) for f in s.polys]
+    points = []
     for xi in grid:
-        xi = tuple(Fraction(x) for x in xi)
-        if any(x == 0 for x in xi):
-            continue
-        vals = []
-        for g in forms:
-            vals.append(g.evaluate(xi))
-            if vals[-1] < 0:
+        point = _split(xi)
+        if all(a for a, _ in point):
+            points.append((xi, point, [_unit_sign(g.lows, point) for g in polys]))
+    etas = [(0,) * s.rank] + list(drifts)
+    return polys, points, [(eta, _split(eta)) for eta in etas]
+
+
+def _witness(point) -> Point:
+    return tuple(Fraction(x) for x in point)
+
+
+def _scan_ray(v: Vec, polys, points, etas) -> tuple[Certificate, Certificate]:
+    """(K0 certificate, closure certificate) of ray v from one pass over the
+    points, with the cleared polys, points and drifts of ``_prepare``.
+
+    Every sign is decided in integer arithmetic. The initial form of f is the
+    set of its terms of shift <e, v> - dmin = 0, and its sign at xi is that of
+    their ``_cleared_sum`` times the unit sign of x^lows; it is also the
+    lowest-order coefficient of f along every curve lambda_v(t)(xi + t*eta).
+    A negative one rules xi out for any drift and ends the signs there, all
+    positive ones make xi the K0 witness (and a zero-drift closure witness)
+    and end the scan, and the forms that vanish are decided by the exact
+    curve polynomial of ``_curve_sign``, with the zero drift first and then
+    the given drifts in order."""
+    shifts, initials = [], []
+    for g in polys:
+        degs = [dot(e, v) for _, e, _ in g.terms]
+        dmin = min(degs)
+        shifts.append([d - dmin for d in degs])
+        initials.append([t for t, d in zip(g.terms, degs) if d == dmin])
+    closure = Certificate(False, None)
+    for xi, point, units in points:
+        signs = []
+        for initial, unit in zip(initials, units):
+            signs.append(_sign(_cleared_sum(initial, point)) * unit)
+            if signs[-1] < 0:
                 break
-        if vals[-1] < 0:
+        if signs[-1] < 0:
             continue
-        pending = [f for f, val in zip(s.polys, vals) if val == 0]
+        pending = [i for i, sg in enumerate(signs) if sg == 0]
         if not pending:
             if not closure.certified:
-                closure = Certificate(True, (xi, zero))
-            return Certificate(True, (xi,)), closure
+                closure = Certificate(True, (_witness(xi), _witness(etas[0][0])))
+            return Certificate(True, (_witness(xi),)), closure
         if closure.certified:
             continue
-        for eta in etas:
-            if all(_drift_leading_sign(f, v, xi, eta) > 0 for f in pending):
-                closure = Certificate(True, (xi, eta))
+        for eta, drift in etas:
+            if all(_curve_sign(polys[i], shifts[i], point, drift) > 0 for i in pending):
+                closure = Certificate(True, (_witness(xi), _witness(eta)))
                 break
     return Certificate(False, None), closure
-
-
-def _drift_leading_sign(f: LaurentPoly, v: Vec, xi: Point, eta: Point, extra: int = 8) -> int:
-    """Sign of f(lambda_v(t)(xi + t*eta)) for small t > 0, via the exact
-    leading coefficient of its Laurent expansion in t. 0 when the expansion
-    vanishes to the inspected order (then nothing is certified)."""
-    degs = [dot(e, v) for e, _ in f.terms]
-    dmin, dmax = min(degs), max(degs)
-    depth = dmax - dmin + extra
-    total = [Fraction(0)] * (depth + 1)
-    for (exp, coef), d in zip(f.terms, degs):
-        shift = d - dmin
-        length = depth - shift + 1
-        if length <= 0:
-            continue
-        ser = [coef]
-        for x, h, e in zip(xi, eta, exp):
-            ser = _series_mul(ser, _binomial_series(x, h, e, length), length)
-        for k, c in enumerate(ser):
-            if shift + k <= depth:
-                total[shift + k] += c
-    for c in total:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
-
-
-def _binomial_series(base: Fraction, drift: Fraction, power: int, length: int) -> list[Fraction]:
-    """Power series of (base + t*drift)^power up to the given length; base != 0."""
-    ratio = drift / base
-    out = []
-    coef = base**power
-    binom = Fraction(1)
-    for j in range(length):
-        if j > 0:
-            binom *= Fraction(power - j + 1, j)
-        out.append(coef * binom * ratio**j)
-    return out
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
-    out = [Fraction(0)] * min(length, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= len(out):
-                break
-            out[i + j] += x * y
-    return out
 
 
 def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=None) -> TCReport:
@@ -563,7 +652,9 @@ def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=N
     grid pass (``_scan_ray``): a certified interior witness clears it; a
     certified closure meeting without an interior witness reports a violation
     (density itself is not certified); otherwise the overall verdict degrades
-    to Unknown.
+    to Unknown. The polynomials, grid and drifts are put in integer form once
+    per call (``_prepare``), and every ray's certificates are decided in
+    integer arithmetic, the drift test by the exact curve polynomial.
     """
     _check_sigma(sigma, 2 if isinstance(s, BasicSet) else s.rank)
     _check_adapted(fan, sigma, s)
@@ -579,12 +670,13 @@ def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=N
             "tentacle: the closure only meets orbits whose cone has the sweep "
             "direction in its relative interior",
         )
+    scan = _prepare(s, grid, drifts)
     violated: list[Vec] = []
     unknown: list[Vec] = []
     for u in fan.rays:
         if sigma.contains(u):
             continue
-        k0, closure = _scan_ray(s, u, grid, drifts)
+        k0, closure = _scan_ray(u, *scan)
         if k0.certified:
             continue
         if closure.certified:

@@ -326,8 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid(argv: list[str]) -> list[str]:
+    """Fold `--grid VALUE` into `--grid=VALUE`: argparse takes a separate
+    value that begins with '-', such as `-1,1`, for an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--grid" else None
+        out.append(token if value is None else f"--grid={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     cfg = RunConfig(command=args.command)
     cfg.input_path = getattr(args, "input", None)
     cfg.corpus_name = getattr(args, "corpus_name", None)

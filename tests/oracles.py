@@ -252,7 +252,7 @@ def _monomial(xi, e):
     return prod(x ** k for x, k in zip(xi, e))
 
 
-def _monomial_value(terms, xi):
+def poly_value(terms, xi):
     """sum c * xi^e over the terms, for Fraction coordinates xi."""
     return sum(c * _monomial(xi, e) for e, c in terms)
 
@@ -302,11 +302,11 @@ def tc_ray_oracle(polys, v, grid, drifts):
         for e, c in f:
             by_degree.setdefault(dot(e, v), []).append((e, c))
         comps.append([by_degree[d] for d in sorted(by_degree)])
-    initials = [[_monomial_value(seq[0], xi) for seq in comps] for xi in points]
+    initials = [[poly_value(seq[0], xi) for seq in comps] for xi in points]
     in_k0 = any(all(val > 0 for val in vals) for vals in initials)
 
     def first_nonzero(seq, xi):
-        return next((val for g in seq if (val := _monomial_value(g, xi)) != 0), 0)
+        return next((val for g in seq if (val := poly_value(g, xi)) != 0), 0)
 
     met = any(all(first_nonzero(seq, xi) > 0 for seq in comps) for xi in points)
     met = met or any(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toricbound.bounded import (
     BasicSet,
     BinomialSet,
+    Certificate,
     LaurentPoly,
     TCStatus,
     Tentacle,
@@ -26,7 +27,7 @@ from toricbound.bounded import (
 )
 from toricbound.cones import RationalCone
 
-from oracles import tc_oracle
+from oracles import curve_sign, poly_value, tc_oracle
 
 ORTHANT = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
 ZERO = RationalCone.zero(2, "N")
@@ -387,19 +388,19 @@ GRIDS = (
 UNKNOWN_SET = BasicSet(2, (lp({(0, 0): 1, (1, 0): -1}), X, Y))
 
 
-def random_basic_set(rng):
+def random_basic_set(rng, reach=2):
     polys = []
     for _ in range(rng.randint(2, 4)):
-        exps = rng.sample(list(product(range(-2, 3), repeat=2)), rng.randint(2, 4))
+        exps = rng.sample(list(product(range(-reach, reach + 1), repeat=2)), rng.randint(2, 4))
         polys.append(lp({e: rng.choice((-1, 1)) * rng.randint(1, 3) for e in exps}))
     return BasicSet(2, tuple(polys))
 
 
 class TestAgainstOracle:
     """Every per-ray certificate and every verdict of the compatibility check
-    against ``oracles.tc_oracle``. Exponents lie in [-2, 2], so the expansion
-    depth of the drift test (the v-degree spread plus 8) reaches the order of
-    every nonvanishing curve polynomial and the exact oracle must agree."""
+    against ``oracles.tc_oracle``, which evaluates in Fraction arithmetic and
+    expands each curve polynomial by repeated multiplication with its linear
+    factors. Both sides are exact, so they must agree for any exponents."""
 
     def check(self, s, sigma, grids, seen):
         fan = adapted_fan(s, sigma)
@@ -435,6 +436,92 @@ class TestAgainstOracle:
             self.check(random_basic_set(rng), sigma, GRIDS[grid:grid + 1], seen[grid])
         for found in seen.values():
             assert found == {"Verified", "Violated", "Unknown", "drift"}
+
+    def test_random_wide_exponents(self):
+        rng = random.Random(47)
+        for i in range(24):
+            grid = i % len(GRIDS)
+            sigma = (ORTHANT, ZERO)[i // len(GRIDS) % 2]
+            self.check(random_basic_set(rng, reach=4), sigma, GRIDS[grid:grid + 1], set())
+
+
+def random_rational(rng, den=7):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, den))
+
+
+def random_poly(rng, reach):
+    exps = rng.sample(list(product(range(-reach, reach + 1), repeat=2)), rng.randint(1, 5))
+    return lp({e: random_rational(rng) for e in exps})
+
+
+def random_ray(rng):
+    while True:
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if any(v):
+            return v
+
+
+class TestIntegerKernels:
+    """The integer sign kernels of the certificates against Fraction
+    arithmetic: ``oracles.poly_value`` for values and initial-form signs, and
+    ``oracles.curve_sign`` for the sign of f along a curve."""
+
+    def test_evaluate_matches_fraction_sum(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            f = random_poly(rng, 6)
+            xi = (random_rational(rng), random_rational(rng))
+            assert f.evaluate(xi) == poly_value(f.terms, xi), (f, xi)
+
+    def test_initial_form_sign(self):
+        # one base point and no drift: certified iff every initial form is positive
+        rng = random.Random(62)
+        signs = set()
+        for _ in range(300):
+            f, v = random_poly(rng, 6), random_ray(rng)
+            xi = (random_rational(rng), random_rational(rng))
+            g = initial_form(f, v)
+            value = g.evaluate(xi)
+            assert value == poly_value(g.terms, xi)
+            for h, positive in ((f, value > 0), (-f, value < 0)):
+                assert certify_K0_membership(BasicSet(2, (h,)), v, [xi]).certified == positive
+            signs.add((value > 0) - (value < 0))
+        assert signs == {-1, 1}
+
+    def test_curve_sign(self):
+        # f = g * (x^w - xi^w)^j with <w, v> = 0 vanishes on the orbit
+        # lambda_v(t) xi, so only the drift eta can certify: the closure of
+        # {f > 0} is certified iff curve_sign(f) > 0, that of {-f > 0} iff < 0
+        rng = random.Random(63)
+        signs = set()
+        for i in range(120):
+            v = random_ray(rng)
+            w = (-v[1], v[0])
+            xi = (random_rational(rng), random_rational(rng))
+            eta = (random_rational(rng), random_rational(rng))
+            if i % 3:
+                eta = tuple(Fraction(0) if k == i % 3 - 1 else h for k, h in enumerate(eta))
+            factor = lp({w: 1, (0, 0): -(xi[0] ** w[0] * xi[1] ** w[1])})
+            f = random_poly(rng, 3)
+            for _ in range(rng.randint(1, 2)):
+                f = f * factor
+            expected = curve_sign(f.terms, v, xi, eta)
+            for h, sign in ((f, 1), (-f, -1)):
+                cert = certify_orbit_meeting(BasicSet(2, (h,)), v, [xi], [eta])
+                assert cert.certified == (expected == sign), (f, v, xi, eta)
+            signs.add(expected)
+        assert signs == {-1, 0, 1}
+
+    def test_vanishing_beyond_the_spread(self):
+        # (x - 1)^10 * y along v = (0, 1): one v-degree, and the curve
+        # (1 + t, t) meets f only at order t^11
+        f = lp({(0, 1): 1})
+        for _ in range(10):
+            f = f * lp({(1, 0): 1, (0, 0): -1})
+        s, xi, eta = BasicSet(2, (f,)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))
+        cert = certify_orbit_meeting(s, (0, 1), [xi], [eta])
+        assert cert == Certificate(True, (xi, eta))
+        assert curve_sign(f.terms, (0, 1), xi, eta) == 1
 
 
 class TestBinomialNormalization:

@@ -185,13 +185,19 @@ class TestErrorHandling:
     def test_grid_limit(self, count, code):
         # +-k and +-1/(k+1) for k = 1, 2, ..., cut to `count` distinct values
         vals = [f"{s}{x}" for k in range(1, count) for x in (k, f"1/{k + 1}") for s in "-+"]
-        grid = "--grid=" + ",".join(vals[:count])  # one token: the list starts with '-'
+        grid = "--grid=" + ",".join(vals[:count])
         got, out, err = run_cli(["tc-check", "--corpus", "example3", grid])
         assert got == code, err
         if code:
             assert "MAX_GRID_VALUES = 32" in err and out == ""
         else:
             assert json.loads(out)["status"] == "Violated"
+
+    @pytest.mark.parametrize("spec", ["-1,1", "-1/2,1"])
+    def test_grid_value_may_begin_with_minus(self, spec):
+        joined = run_cli(["tc-check", "--corpus", "example3", f"--grid={spec}"])
+        assert joined[0] == 0, joined[2]
+        assert run_cli(["tc-check", "--corpus", "example3", "--grid", spec]) == joined
 
     @pytest.mark.parametrize("spec", ["a,1", ",", "1/0"])
     def test_malformed_grid(self, spec):
