@@ -69,9 +69,6 @@ class Fan2D:
         m = len(self.rays)
         return [(self.rays[i], self.rays[(i + 1) % m]) for i in range(m)]
 
-    def two_cones(self) -> list[RationalCone]:
-        return [RationalCone.from_generators([a, b], 2, "N") for a, b in self.cone_pairs()]
-
 
 def make_fan(rays) -> Fan2D:
     """Primitivize, deduplicate and cyclically sort the given ray generators.

@@ -4,7 +4,10 @@ semigroup membership and integer relations among generators.
 The Hilbert basis algorithm triangulates a pointed cone into simplicial
 pieces, enumerates the lattice points of the half-open fundamental
 parallelepiped of each piece (cut out by the facet normals of the piece), and
-filters the union down to the irreducible elements. Non-pointed cones are
+keeps the minimal elements of the union. Minimality is dominance of facet
+values: x - c lies in the cone iff <a, c> <= <a, x> for every facet normal a,
+so candidates are scanned in order of the sum of their facet values and each
+is kept unless a kept one is componentwise below it. Non-pointed cones are
 reduced modulo their lineality lattice; lower-dimensional cones are handled in
 coordinates on the saturated span lattice. Dickson module generators are the
 irreducible lattice points of a polyhedron, enumerated in a box around its
@@ -149,23 +152,14 @@ def _hilbert_pointed(cone: RationalCone) -> tuple[Vec, ...]:
     candidates: set[Vec] = set(rays)
     for simplex in _triangulate(rays, rank):
         candidates |= _parallelepiped_points(simplex)
-    ineqs = cone.inequalities
-
-    def in_cone(v: Vec) -> bool:
-        return all(dot(a, v) >= 0 for a in ineqs)
-
-    ordered = sorted(candidates, key=lambda v: (sum(map(abs, v)), v))
-    basis = []
-    for x in ordered:
-        reducible = False
-        for c in ordered:
-            if c == x:
-                continue
-            rest = vec_sub(x, c)
-            if not is_zero(rest) and in_cone(rest):
-                reducible = True
-                break
-        if not reducible:
+    # F(x) = (<a, x> for the facet normals a) is injective on a pointed
+    # full-dimensional cone, so a candidate that dominates another has the
+    # larger sum F and comes after it
+    values = {x: tuple(dot(a, x) for a in cone.inequalities) for x in candidates}
+    basis: list[Vec] = []
+    for x in sorted(candidates, key=lambda v: (sum(values[v]), v)):
+        fx = values[x]
+        if not any(all(h <= y for h, y in zip(values[b], fx)) for b in basis):
             basis.append(x)
     return tuple(sorted(basis))
 

@@ -27,10 +27,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(k: int, a: Vec) -> Vec:
-    return tuple(k * x for x in a)
-
-
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 

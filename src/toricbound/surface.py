@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 
 from .cones import RationalCone
 from .fans import Fan2D, is_smooth
 from .hilbert import hilbert_basis, SemigroupBasis
+from .intlin import clear_denominators, solve_rational
 from .linalg import Inertia, SymmetricRationalMatrix, inertia
 
 Vec = tuple[int, int]
@@ -266,23 +266,22 @@ def weighted_square(sel: DivisorSelection, multiplicities) -> int:
 
 
 def positive_combination(mat: SymmetricRationalMatrix) -> tuple[int, ...]:
-    """Integers m_i >= 1 with (A m) entrywise negative, for negative definite A.
+    """Integers m_i >= 1 with (A m) entrywise negative, for negative definite A
+    with nonnegative off-diagonal entries, as every intersection matrix of
+    distinct curves has.
 
-    Search runs in increasing max-norm, lexicographic within a shell; the
-    first hit is the canonical witness.
+    Then -A is a nonsingular M-matrix: (-A)^-1 is entrywise nonnegative with
+    no zero row, so (-A)^-1 · 1 is positive. The witness is that vector made
+    primitive; A m is a negative multiple of 1.
+
+    >>> positive_combination(SymmetricRationalMatrix([[-1, 1], [1, -2]]))
+    (3, 2)
     """
-    sig = inertia(mat)
-    if not sig.is_negative_definite():
-        raise ValueError("matrix must be negative definite")
     n = mat.size
-    k = 1
-    while True:
-        for m in product(range(1, k + 1), repeat=n):
-            if max(m) != k:
-                continue
-            img = mat.apply(m)
-            if all(x < 0 for x in img):
-                return tuple(m)
-        k += 1
-        if k > 64:
-            raise AssertionError("no positive combination found in a huge range")
+    if n == 0:
+        raise ValueError("matrix must be nonempty")
+    if not inertia(mat).is_negative_definite():
+        raise ValueError("matrix must be negative definite")
+    if any(mat[i, j] < 0 for i in range(n) for j in range(n) if i != j):
+        raise ValueError("off-diagonal entries must be nonnegative")
+    return clear_denominators(solve_rational([[-x for x in row] for row in mat.rows], [1] * n))

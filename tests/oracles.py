@@ -2,7 +2,8 @@
 
 Each oracle decides its question by a method disjoint from the library's own
 algorithms: rank-2 cone membership by pairwise decomposition, Hilbert bases by
-box enumeration with an irreducibility filter, matrix inertia by the exact
+box enumeration with an irreducibility filter and, in rank 2, by
+Hirzebruch-Jung continued fractions, matrix inertia by the exact
 characteristic polynomial and Descartes' rule of signs, and lattice-point
 counts and lattice points of polyhedra by direct enumeration of a box,
 rational kernels by reduced row echelon form, determinants by Laplace
@@ -205,6 +206,30 @@ def hj_expansion(d, k):
         out.append(a)
         d, k = k, a * k - d
     return out
+
+
+def hilbert_basis_by_continued_fraction(u, w):
+    """Hilbert basis of the pointed cone(u, w), u and w primitive, in order
+    from u to w (Fulton, Introduction to Toric Varieties, §2.6).
+
+    With u, w oriented so that n = det(u, w) > 0, the lattice is spanned by u
+    and v1 = (w + q u) / n for the unique 0 <= q < n that makes v1 integral,
+    and w = n v1 - q u. The basis continues v_{i+1} = a_i v_i - v_{i-1} with
+    a_1, ..., a_r the Hirzebruch-Jung continued fraction of n / q, and ends
+    at w.
+    """
+    if cross(u, w) < 0:
+        u, w = w, u
+    n = cross(u, w)
+    if n == 0:
+        raise ValueError("generators must be independent")
+    q = next(q for q in range(n) if all((wc + q * uc) % n == 0 for uc, wc in zip(u, w)))
+    basis = [tuple(u), tuple((wc + q * uc) // n for uc, wc in zip(u, w))]
+    for a in hj_expansion(n, q):
+        basis.append(tuple(a * x - y for x, y in zip(basis[-1], basis[-2])))
+    if basis[-1] != tuple(w):
+        raise AssertionError("continued fraction did not end at the second generator")
+    return basis
 
 
 def hilbert_count_by_continued_fraction(a, b):

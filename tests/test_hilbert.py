@@ -19,6 +19,7 @@ from oracles import (
     _solve_exact,
     box_points,
     det,
+    hilbert_basis_by_continued_fraction,
     hilbert_count_by_continued_fraction,
     hilbert_oracle,
 )
@@ -245,6 +246,28 @@ class TestHilbertProperties:
             cone = mcone(a, b)
             expected = hilbert_count_by_continued_fraction(*cone.extreme_rays())
             assert len(hilbert_basis(cone).generators) == expected
+            checked += 1
+
+    @pytest.mark.parametrize("k", list(range(1, 33)) + [64, 100, 255, 256, 511, 799, 800])
+    def test_matches_continued_fractions_on_deep_cones(self, k):
+        # cone((1, 0), (1 - k, k)) has det k and the Hilbert basis (1, 0), (0, 1),
+        # (-1, 2), ..., (1 - k, k): the continued fraction k / (k - 1) = [2, ..., 2]
+        cone = RationalCone.from_generators([(1, 0), (1 - k, k)], 2, "N")
+        expected = hilbert_basis_by_continued_fraction((1, 0), (1 - k, k))
+        assert len(expected) == k + 1
+        assert list(hilbert_basis(cone).generators) == sorted(expected)
+
+    def test_matches_continued_fractions_on_random_cones(self):
+        rng = random.Random(27)
+        checked = 0
+        while checked < 40:
+            a = (rng.randint(-30, 30), rng.randint(-30, 30))
+            b = (rng.randint(-30, 30), rng.randint(-30, 30))
+            if a[0] * b[1] - a[1] * b[0] == 0:
+                continue
+            cone = mcone(a, b)
+            expected = hilbert_basis_by_continued_fraction(*cone.extreme_rays())
+            assert list(hilbert_basis(cone).generators) == sorted(expected), (a, b)
             checked += 1
 
     def test_matches_box_oracle(self):

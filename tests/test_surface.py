@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,6 +19,8 @@ from toricbound.surface import (
     self_intersections,
     weighted_square,
 )
+
+from oracles import inertia_oracle
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)])
 STRIP_FAN = make_fan([(1, 0), (0, 1), (-1, -1), (0, -1)])
@@ -240,15 +244,64 @@ class TestPositiveCombination:
         mat = SymmetricRationalMatrix([[-2, 1], [1, -2]])
         assert positive_combination(mat) == (1, 1)
 
-    def test_search_order(self):
+    def test_witness_is_primitive_inverse_row_sums(self):
+        # (-A)^-1 = [[2, 1], [1, 1]], so (-A)^-1 · 1 = (3, 2) and A m = (-1, -1)
         mat = SymmetricRationalMatrix([[-1, 1], [1, -2]])
         m = positive_combination(mat)
         assert m == (3, 2)
-        assert all(x < 0 for x in mat.apply(m))
+        assert mat.apply(m) == (-1, -1)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             positive_combination(SymmetricRationalMatrix([[1, 0], [0, -1]]))
+
+    def test_rejects_negative_off_diagonal(self):
+        # negative definite (eigenvalues -1 and -3), but no intersection matrix
+        with pytest.raises(ValueError, match="off-diagonal"):
+            positive_combination(SymmetricRationalMatrix([[-2, -1], [-1, -2]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            positive_combination(SymmetricRationalMatrix([]))
+
+    def test_minus_two_chains_closed_form(self):
+        # for the chain of n (-2)-curves, (-A)^-1 · 1 has entries i (n + 1 - i) / 2
+        for n in range(1, 65):
+            rows = [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+            closed = [i * (n + 1 - i) for i in range(1, n + 1)]
+            g = gcd(*closed)
+            assert positive_combination(SymmetricRationalMatrix(rows)) == tuple(x // g for x in closed)
+
+    def test_random_negative_definite_graphs(self):
+        # random graphs, not only paths, with integer and Fraction weights: a
+        # strictly diagonally dominant negative diagonal is negative definite
+        # (Gershgorin); the other half shrinks the diagonal below dominance and
+        # must be rejected exactly when the characteristic polynomial says the
+        # matrix is not negative definite
+        rng = random.Random(56)
+        weights = [0, 0, 1, 2, Fraction(1, 2), Fraction(2, 3)]
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 12)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rows[j][i] = Fraction(rng.choice(weights))
+            dominant = checked % 2 == 0
+            for i in range(n):
+                off = sum(rows[i][j] for j in range(n) if j != i)
+                slack = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                rows[i][i] = -(off + slack) if dominant else -(off * Fraction(2, 3) + slack)
+            mat = SymmetricRationalMatrix(rows)
+            if not dominant and inertia_oracle(rows) != (0, n, 0):
+                with pytest.raises(ValueError, match="negative definite"):
+                    positive_combination(mat)
+                continue
+            m = positive_combination(mat)
+            img = mat.apply(m)
+            assert all(x >= 1 for x in m) and gcd(*m) == 1
+            assert img[0] < 0 and len(set(img)) == 1
+            checked += 1
 
     def test_random_negative_definite_chains(self):
         rng = random.Random(55)
