@@ -33,6 +33,7 @@ from .filtration import (
     StabilityReport,
     StabilityVerdict,
     filtration_level,
+    filtration_levels,
     filtration_multiplicativity_check,
     total_stability_certificate,
 )
@@ -41,9 +42,11 @@ from .hilbert import (
     SemigroupBasis,
     ShiftedPolyhedron,
     dickson_decompose,
+    dickson_decompose_scaled,
     hilbert_basis,
     lattice_kernel_relations,
     semigroup_contains,
+    semigroup_membership,
 )
 from .linalg import Inertia, LatticeVector, SymmetricRationalMatrix, inertia, pairing, primitive
 from .surface import (

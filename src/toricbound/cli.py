@@ -28,8 +28,8 @@ from .bounded import (
 )
 from .cones import RationalCone
 from .fans import is_smooth, smooth_resolution
-from .filtration import filtration_level, total_stability_certificate
-from .hilbert import SemigroupBasis, hilbert_basis, semigroup_contains
+from .filtration import filtration_levels, total_stability_certificate
+from .hilbert import SemigroupBasis, hilbert_basis, semigroup_membership
 from .intlin import lattice_points
 from .linalg import inertia
 from .serialize import (
@@ -72,8 +72,10 @@ EXIT_INCONCLUSIVE = 3
 # in [-B, B]^n; the box may hold at most this many points, so B <= 64 in rank
 # 2, 12 in rank 3 and 5 in rank 4.
 MAX_BOX_POINTS = 129 ** 2
-# `filtration` and `stability` compute every level 0..nmax; the work grows
-# about as nmax^3.
+# `filtration` and `stability` compute every level 0..nmax. A finite level
+# lists all of its lattice points, so the work grows about as nmax^3 there;
+# an infinite level costs one interval cut per fibre and generator, about
+# nmax^2 over all levels.
 MAX_NMAX = 100
 # `--grid` values make a square grid of base points; each ray outside sigma
 # may evaluate every initial form at every point and try every drift there.
@@ -213,8 +215,9 @@ def _cmd_hilbert(cfg: RunConfig):
 
 def _verify_box_coverage(cone: RationalCone, basis, bound: int):
     cons = [(a, 0) for a in cone.inequalities]
+    contains = semigroup_membership(basis)
     for pt in lattice_points(cons, [-bound] * cone.rank, [bound] * cone.rank):
-        if not semigroup_contains(basis, pt):
+        if not contains(pt):
             raise AssertionError(f"lattice point {pt} not covered by the basis")
 
 
@@ -251,10 +254,9 @@ def _cmd_filtration(cfg: RunConfig):
     else:
         fan = adapted_fan(s, sigma)
         fs = subfan_FS(fan, sigma, K_sets(s)[1])
-    levels = [filtration_level(fs, n) for n in range(cfg.n_max + 1)]
     return {
         "bounded_basis": semigroup_to_json(fs.dual_basis),
-        "levels": [level_to_json(lv) for lv in levels],
+        "levels": [level_to_json(lv) for lv in filtration_levels(fs, cfg.n_max)],
     }
 
 

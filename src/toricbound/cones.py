@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .intlin import (
     dot,
+    integer_point,
     is_zero,
     primitive_tuple,
     project_off_span,
@@ -264,7 +265,7 @@ def _coords(v, rank: int, side: str) -> Vec:
         if v.side != side:
             raise ValueError(f"vector side {v.side} does not match cone side {side}")
         v = v.coords
-    v = tuple(int(x) for x in v)
+    v = integer_point(v)
     if len(v) != rank:
         raise ValueError(f"vector rank {len(v)} does not match cone rank {rank}")
     return v

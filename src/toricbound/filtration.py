@@ -3,11 +3,14 @@ generators over the bounded ring, dimensions, and the total-stability
 certificate.
 
 Level n collects the exponents beta with <beta, u> >= 0 along the rays inside
-sigma and >= -n along the divisors at infinity met by the closure of S. Level
-zero is the bounded ring itself; each level is a finitely generated module
-over it, with generators computed by Dickson decomposition. A finite level
-has a zero recession cone, hence a trivial base semigroup, so its module
-generators are all of its lattice points and their number is its dimension.
+sigma and >= -n along the divisors at infinity met by the closure of S. Every
+offset is 0 or n, so level n is n times the polygon of level 1, and level
+zero is the recession cone of that polygon: the bounded ring itself. Each
+level is a finitely generated module over it, with generators computed by
+Dickson decomposition; ``filtration_levels`` decomposes all levels of a
+subfan in one pass over the level-1 polygon. A finite level has a zero
+recession cone, hence a trivial base semigroup, so its module generators are
+all of its lattice points and their number is its dimension.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .hilbert import (
     ModuleGenerators,
     SemigroupBasis,
     ShiftedPolyhedron,
-    dickson_decompose,
+    dickson_decompose_scaled,
 )
 from .intlin import vec_add
 
@@ -62,16 +65,41 @@ def level_polyhedron(fs: FSData, n: int) -> ShiftedPolyhedron:
     return ShiftedPolyhedron(2, "M", cons)
 
 
+def filtration_levels(fs: FSData, n_max: int) -> tuple[FiltrationLevel, ...]:
+    """Levels 0..n_max of the subfan, from one Dickson pass over level 1.
+
+    >>> from .bounded import Tentacle, K_sets, adapted_fan, subfan_FS
+    >>> orthant = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
+    >>> s = Tentacle(2, (-1, -1))
+    >>> fs = subfan_FS(adapted_fan(s, orthant), orthant, K_sets(s)[1])
+    >>> [lv.dimension for lv in filtration_levels(fs, 3)]
+    [1, 3, 6, 10]
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return _levels(fs, range(n_max + 1))
+
+
 def filtration_level(fs: FSData, n: int) -> FiltrationLevel:
     """Polyhedron, Dickson module generators and dimension of level n."""
     if n < 0:
         raise ValueError("level index must be nonnegative")
-    poly = level_polyhedron(fs, n)
-    gens = dickson_decompose(poly, fs.dual_basis)
-    # dickson_decompose has checked that the recession cone is the cone of
-    # the bounded ring, so the level is finite iff that ring is trivial
-    dim = len(gens.generators) if fs.dual_basis.is_trivial() else INFINITE
-    return FiltrationLevel(fs, n, poly, gens, dim)
+    return _levels(fs, (n,))[0]
+
+
+def _levels(fs: FSData, ns) -> tuple[FiltrationLevel, ...]:
+    # every offset of level n is 0 or n, so level n is n times level 1
+    decompositions = dickson_decompose_scaled(level_polyhedron(fs, 1), fs.dual_basis, ns)
+    # the pass has checked that the recession cone is the cone of the
+    # bounded ring, so a level is finite iff that ring is trivial
+    finite = fs.dual_basis.is_trivial()
+    return tuple(
+        FiltrationLevel(
+            fs, n, level_polyhedron(fs, n), gens,
+            len(gens.generators) if finite else INFINITE,
+        )
+        for n, gens in zip(ns, decompositions)
+    )
 
 
 def filtration_multiplicativity_check(level_m: FiltrationLevel, level_n: FiltrationLevel) -> bool:
@@ -124,7 +152,7 @@ def total_stability_certificate(
     fs = subfan_FS(fan, sigma, k0)
     if not is_trivial_bounded_ring(sigma, s):
         return StabilityReport(StabilityVerdict.NOT_APPLICABLE, fs.dual_basis, ())
-    levels = tuple(filtration_level(fs, n) for n in range(n_max + 1))
+    levels = filtration_levels(fs, n_max)
     for lv in levels:
         if lv.dimension == INFINITE:
             raise AssertionError(

@@ -9,13 +9,18 @@ values: x - c lies in the cone iff <a, c> <= <a, x> for every facet normal a,
 so candidates are scanned in order of the sum of their facet values and each
 is kept unless a kept one is componentwise below it. Non-pointed cones are
 reduced modulo their lineality lattice; lower-dimensional cones are handled in
-coordinates on the saturated span lattice. Dickson module generators are the
-irreducible lattice points of a polyhedron, enumerated in a box around its
-vertices. Both enumerations are ``intlin.lattice_points``.
+coordinates on the saturated span lattice.
+
+Dickson module generators are the irreducible lattice points of a
+polyhedron, found for all its multiples in one pass: each fibre of
+``intlin.lattice_fibres`` around the scaled vertices minus one interval of
+reducible points per generator. Semigroup membership builds its cone and
+grading once per basis and answers each point by a bounded search.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,8 +31,11 @@ from .intlin import (
     dot,
     hnf,
     integer_kernel,
+    integer_point,
     integer_solve,
+    interval_cut,
     is_zero,
+    lattice_fibres,
     lattice_points,
     rank_of,
     saturate,
@@ -84,7 +92,7 @@ class ShiftedPolyhedron:
     constraints: tuple[tuple[Vec, int], ...]
 
     def contains(self, beta) -> bool:
-        beta = tuple(int(x) for x in beta)
+        beta = integer_point(beta)
         return all(dot(u, beta) >= -m for u, m in self.constraints)
 
     def recession_cone(self) -> RationalCone:
@@ -240,104 +248,169 @@ def _parallelepiped_points(simplex: tuple[Vec, ...]) -> set[Vec]:
 
 def semigroup_contains(basis: SemigroupBasis, beta) -> bool:
     """Whether beta is a nonnegative integer combination of the basis elements
-    (lineality units usable with both signs)."""
-    beta = tuple(int(x) for x in beta)
-    if len(beta) != basis.rank:
-        raise ValueError("rank mismatch")
-    if is_zero(beta):
-        return True
+    (lineality units usable with both signs): one query of
+    ``semigroup_membership(basis)``."""
+    return semigroup_membership(basis)(beta)
+
+
+def semigroup_membership(basis: SemigroupBasis) -> Callable[[Iterable], bool]:
+    """The membership test of the semigroup of basis, as a function of the
+    point. The lineality quotient, the cone of the pointed part, its facets
+    and a positive grading are built here once, and every query reuses them.
+
+    >>> contains = semigroup_membership(SemigroupBasis(2, "M", ((1, 0), (1, 1), (1, 2))))
+    >>> [contains(p) for p in ((2, 1), (0, 1))]
+    [True, False]
+    """
+    rank = basis.rank
+    gens = list(basis.generators)
+    proj = None
     if basis.lineality_units:
         proj = integer_kernel(basis.lineality_units)
-        if not proj:
-            return True
-        qbeta = tuple(dot(q, beta) for q in proj)
-        images = [tuple(dot(q, g) for q in proj) for g in basis.generators]
-        images = [g for g in images if not is_zero(g)]
-        return _pointed_contains(images, qbeta)
-    return _pointed_contains(list(basis.generators), beta)
+        images = (tuple(dot(q, g) for q in proj) for g in gens)
+        gens = [g for g in images if not is_zero(g)]
+    search = _pointed_search(gens, len(proj) if proj is not None else rank)
+
+    def contains(beta) -> bool:
+        beta = integer_point(beta)
+        if len(beta) != rank:
+            raise ValueError("rank mismatch")
+        if proj is not None:
+            beta = tuple(dot(q, beta) for q in proj)
+        return search(beta)
+
+    return contains
 
 
-def _pointed_contains(gens: list[Vec], beta: Vec) -> bool:
-    if is_zero(beta):
-        return True
+def _pointed_search(gens: list[Vec], rank: int) -> Callable[[Vec], bool]:
+    """Membership in the semigroup generated by gens, whose cone is pointed."""
     if not gens:
-        return False
-    rank = len(beta)
+        return is_zero
     cone = RationalCone.from_generators(gens, rank, "M")
-    linpairs = {v for v in cone.inequalities if vec_neg(v) in set(cone.inequalities)}
-    w = tuple(
-        sum(a[c] for a in cone.inequalities if a not in linpairs) for c in range(rank)
-    )
-    weights = [dot(w, g) for g in gens]
-    if any(x <= 0 for x in weights):
-        raise AssertionError("positive functional failed; cone not pointed?")
     ineqs = cone.inequalities
-    # depth-first search for a path beta -> 0 that subtracts generators and
-    # stays in the cone; every step lowers the weight <w, t> by at least 1
-    stack = [beta]
-    seen = {beta}
-    while stack:
-        t = stack.pop()
-        if is_zero(t):
+    linpairs = {v for v in ineqs if vec_neg(v) in set(ineqs)}
+    w = tuple(sum(a[c] for a in ineqs if a not in linpairs) for c in range(rank))
+    weights = [dot(w, g) for g in gens]
+
+    def search(beta: Vec) -> bool:
+        if is_zero(beta):
             return True
-        if not all(dot(a, t) >= 0 for a in ineqs):
-            continue
-        wt = dot(w, t)
-        for g, wg in zip(gens, weights):
-            s = vec_sub(t, g)
-            if wg <= wt and s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return False
+        if any(x <= 0 for x in weights):
+            raise AssertionError("positive functional failed; cone not pointed?")
+        # depth-first search for a path beta -> 0 that subtracts generators
+        # and stays in the cone; every step lowers the weight <w, t> by at
+        # least 1
+        stack = [beta]
+        seen = {beta}
+        while stack:
+            t = stack.pop()
+            if is_zero(t):
+                return True
+            if not all(dot(a, t) >= 0 for a in ineqs):
+                continue
+            wt = dot(w, t)
+            for g, wg in zip(gens, weights):
+                s = vec_sub(t, g)
+                if wg <= wt and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return False
+
+    return search
 
 
 def dickson_decompose(poly: ShiftedPolyhedron, base: SemigroupBasis) -> ModuleGenerators:
-    """Minimal B0 with (poly ∩ lattice) = B0 + semigroup(base).
+    """Minimal B0 with (poly ∩ lattice) = B0 + semigroup(base), listed in
+    graded-lex order: the one-scale case of ``dickson_decompose_scaled``.
 
     The recession cone of the polyhedron must equal the cone of the base
-    semigroup. Its lattice points are enumerated fibre by fibre in the box
-    hull of the vertices padded by the generator offsets; irreducible points
-    (not reachable from the polyhedron by subtracting a generator) are
-    exactly the minimal module generators, listed in graded-lex order.
+    semigroup.
+
+    >>> orthant = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
+    >>> poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
+    >>> dickson_decompose(poly, orthant).generators
+    ((-1, -1),)
     """
+    return dickson_decompose_scaled(poly, base, (1,))[0]
+
+
+def dickson_decompose_scaled(
+    poly: ShiftedPolyhedron, base: SemigroupBasis, scales
+) -> list[ModuleGenerators]:
+    """``dickson_decompose`` of s·poly, the polyhedron with offsets (u, s·m),
+    for each s in scales (s = 0 gives the recession cone).
+
+    Scaling the offsets scales the vertices and keeps the recession cone, so
+    the cone check, the lineality quotient, the vertices and the table of
+    <u, h> over constraints u and generators h are computed once for all
+    scales. Module generators are the irreducible lattice points: a point b
+    of s·poly is reducible iff b - h lies in s·poly for some generator h.
+    They lie in the box hull of the vertices padded by the generator
+    offsets; that box is walked fibre by fibre along the last coordinate,
+    and on a fibre the points b with b - h in s·poly form one interval per
+    h, cut by the same floor/ceil rule as the fibre itself. The generators
+    are the fibre minus the union of those intervals, so no point is tested
+    on its own.
+    """
+    scales = list(scales)
+    if any(s < 0 for s in scales):
+        raise ValueError("scales must be nonnegative")
     if poly.rank > 3:
         raise ValueError("dickson_decompose supported up to rank 3")
     if poly.recession_cone() != base.cone():
         raise ValueError("recession cone does not match the base semigroup")
-    if base.lineality_units:
-        proj = integer_kernel(base.lineality_units)
-        if not proj:
-            return ModuleGenerators(base, ((0,) * poly.rank,))
-        qrank = len(proj)
-        # u = ubar ∘ proj; solvable and integral since u kills the lineality lattice
-        columns = list(zip(*proj))
-        qcons = [(integer_solve(columns, u), m) for u, m in poly.constraints]
-        if any(ubar is None for ubar, _ in qcons):
-            raise ValueError("constraint does not descend to the quotient")
-        qimages = [tuple(dot(q, g) for q in proj) for g in base.generators]
-        qimages = [g for g in qimages if not is_zero(g)]
-        qpoly = ShiftedPolyhedron(qrank, poly.side, tuple(qcons))
-        qbase = SemigroupBasis(qrank, base.side, tuple(sorted(set(qimages))))
-        inner = _dickson_pointed(qpoly, qbase)
-        lifted = sorted(integer_solve(proj, b) for b in inner)
-        return ModuleGenerators(base, tuple(lifted))
-    gens = _dickson_pointed(poly, base)
-    return ModuleGenerators(base, gens)
-
-
-def _dickson_pointed(poly: ShiftedPolyhedron, base: SemigroupBasis) -> tuple[Vec, ...]:
-    verts = poly.vertices()
-    if not verts:
-        return ()
-    n = poly.rank
-    hs = list(base.generators)
-    lo = [floor(min(v[c] for v in verts)) + sum(min(0, h[c]) for h in hs) for c in range(n)]
-    hi = [ceil(max(v[c] for v in verts)) + sum(max(0, h[c]) for h in hs) for c in range(n)]
-    minimal = [
-        b for b in lattice_points(poly.constraints, lo, hi)
-        if not any(poly.contains(vec_sub(b, h)) for h in hs)
+    if not base.lineality_units:
+        return [ModuleGenerators(base, g) for g in _dickson_pointed(poly, base.generators, scales)]
+    proj = integer_kernel(base.lineality_units)
+    if not proj:
+        return [ModuleGenerators(base, ((0,) * poly.rank,)) for _ in scales]
+    # u = ubar ∘ proj; solvable and integral since u kills the lineality lattice
+    columns = list(zip(*proj))
+    qcons = [(integer_solve(columns, u), m) for u, m in poly.constraints]
+    if any(ubar is None for ubar, _ in qcons):
+        raise ValueError("constraint does not descend to the quotient")
+    qimages = {tuple(dot(q, g) for q in proj) for g in base.generators}
+    qgens = sorted(g for g in qimages if not is_zero(g))
+    qpoly = ShiftedPolyhedron(len(proj), poly.side, tuple(qcons))
+    return [
+        ModuleGenerators(base, tuple(sorted(integer_solve(proj, b) for b in inner)))
+        for inner in _dickson_pointed(qpoly, qgens, scales)
     ]
-    return tuple(sorted(minimal, key=lambda v: (sum(map(abs, v)), v)))
+
+
+def _dickson_pointed(poly: ShiftedPolyhedron, hs, scales) -> list[tuple[Vec, ...]]:
+    """The irreducible lattice points of s·poly for each s in scales; the
+    recession cone of poly is pointed and generated by hs."""
+    n = poly.rank
+    verts = poly.vertices()
+    us = [u for u, _ in poly.constraints]
+    last = [u[-1] for u in us]
+    # b - h lies in s·poly iff the slack of b on every constraint u is >= <u, h>
+    table = [[dot(u, h) for u in us] for h in hs]
+    pad_lo = [sum(min(0, h[c]) for h in hs) for c in range(n)]
+    pad_hi = [sum(max(0, h[c]) for h in hs) for c in range(n)]
+    out = []
+    for s in scales:
+        # the only vertex of the pointed recession cone (s = 0) is the origin
+        corners = [tuple(s * x for x in v) for v in verts] if s else [(0,) * n]
+        if not corners:
+            out.append(())
+            continue
+        lo = [floor(min(v[c] for v in corners)) + pad_lo[c] for c in range(n)]
+        hi = [ceil(max(v[c] for v in corners)) + pad_hi[c] for c in range(n)]
+        cons = [(u, s * m) for u, m in poly.constraints]
+        minimal: list[Vec] = []
+        for prefix, first, stop, slack in lattice_fibres(cons, lo, hi):
+            # the x of the fibre with prefix + (x,) - h in s·poly, one interval per h
+            cuts = [interval_cut(last, [sl - v for sl, v in zip(slack, uh)], first, stop)
+                    for uh in table]
+            x = first
+            for a, b in sorted(c for c in cuts if c is not None):
+                minimal.extend(prefix + (y,) for y in range(x, a))
+                x = max(x, b + 1)
+            minimal.extend(prefix + (y,) for y in range(x, stop + 1))
+        out.append(tuple(sorted(minimal, key=lambda v: (sum(map(abs, v)), v))))
+    return out
 
 
 def lattice_kernel_relations(gens) -> list[Vec]:

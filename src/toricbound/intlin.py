@@ -239,40 +239,86 @@ def integer_solve(rows, rhs):
     return tuple(sum(U[i][j] * yi[j] for j in range(n)) for i in range(n))
 
 
+def integer_point(v) -> Vec:
+    """The coordinates of v as ints. A coordinate that is not an integer,
+    such as Fraction(1, 2), raises ValueError instead of being truncated.
+
+    >>> integer_point([Fraction(4, 2), -3])
+    (2, -3)
+    """
+    v = tuple(v)
+    out = tuple(int(x) for x in v)
+    if out != v:
+        bad = next(x for x, y in zip(v, out) if x != y)
+        raise ValueError(f"coordinate {bad} is not an integer")
+    return out
+
+
+def lattice_fibres(constraints, lo, hi) -> list[tuple[Vec, int, int, list[int]]]:
+    """The nonempty fibres along the last coordinate of the integer points x
+    with lo <= x <= hi and <a, x> >= -m for every (a, m) in constraints, in
+    lexicographic order.
+
+    A fibre (prefix, first, last, slack) holds the points prefix + (x,) for
+    first <= x <= last; slack[i] = m_i + <a_i, prefix> over the leading
+    coordinates, so the point satisfies constraint i with slack
+    slack[i] + a_i[-1]·x. The leading coordinates run over the box; the last
+    is cut exactly by floor/ceil of the constraints, so no point is tested
+    on its own.
+
+    >>> lattice_fibres([((1, 1), 0), ((-1, -1), 2)], (0, 0), (2, 2))
+    [((0,), 0, 2, [0, 2]), ((1,), 0, 1, [1, 1]), ((2,), 0, 0, [2, 0])]
+    """
+    n = len(lo)
+    cons = list(constraints)
+    fibres: list[tuple[Vec, int, int, list[int]]] = []
+
+    def walk(prefix: Vec, slack: list[int]):
+        k = len(prefix)
+        if k < n - 1:
+            for x in range(lo[k], hi[k] + 1):
+                walk(prefix + (x,), [s + a[k] * x for (a, _), s in zip(cons, slack)])
+            return
+        cut = interval_cut(coefs, slack, lo[k], hi[k])
+        if cut is not None:
+            fibres.append((prefix, cut[0], cut[1], slack))
+
+    coefs = [a[n - 1] for a, _ in cons]
+    walk((), [m for _, m in cons])
+    return fibres
+
+
+def interval_cut(coefs, slack, first: int, last: int) -> tuple[int, int] | None:
+    """The integers x in [first, last] with c·x + s >= 0 for every (c, s) in
+    zip(coefs, slack), as (first, last) by floor/ceil, or None when there
+    are none.
+
+    >>> interval_cut([2, -1], [1, 3], -5, 5)
+    (0, 3)
+    """
+    for c, s in zip(coefs, slack):
+        if c > 0:
+            first = max(first, -(s // c))
+        elif c < 0:
+            last = min(last, s // -c)
+        elif s < 0:
+            return None
+    return (first, last) if first <= last else None
+
+
 def lattice_points(constraints, lo, hi) -> list[Vec]:
     """The integer points x with lo <= x <= hi and <a, x> >= -m for every
-    (a, m) in constraints, in lexicographic order.
-
-    The leading coordinates run over the box; each fibre of the last
-    coordinate is cut exactly by floor/ceil of the constraints, so no point
-    is tested on its own.
+    (a, m) in constraints, in lexicographic order: the expansion of
+    ``lattice_fibres``.
 
     >>> lattice_points([((1, 1), 0), ((-1, -1), 2)], (0, 0), (2, 2))
     [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     """
-    n = len(lo)
-    cons = list(constraints)
-    points: list[Vec] = []
-
-    def fibres(prefix: Vec, slack: list[int]):
-        # slack[i] = m_i + <a_i, prefix> over the coordinates fixed so far
-        k = len(prefix)
-        if k < n - 1:
-            for x in range(lo[k], hi[k] + 1):
-                fibres(prefix + (x,), [s + a[k] * x for (a, _), s in zip(cons, slack)])
-            return
-        first, last = lo[k], hi[k]
-        for (a, _), s in zip(cons, slack):
-            if a[k] > 0:
-                first = max(first, -(s // a[k]))
-            elif a[k] < 0:
-                last = min(last, s // -a[k])
-            elif s < 0:
-                return
-        points.extend(prefix + (x,) for x in range(first, last + 1))
-
-    fibres((), [m for _, m in cons])
-    return points
+    return [
+        prefix + (x,)
+        for prefix, first, last, _ in lattice_fibres(constraints, lo, hi)
+        for x in range(first, last + 1)
+    ]
 
 
 def project_off_span(v, basis) -> Vec:

@@ -5,16 +5,16 @@ algorithms: rank-2 cone membership by pairwise decomposition, Hilbert bases by
 box enumeration with an irreducibility filter and, in rank 2, by
 Hirzebruch-Jung continued fractions, matrix inertia by the exact
 characteristic polynomial and Descartes' rule of signs, and lattice-point
-counts and lattice points of polyhedra by direct enumeration of a box,
-rational kernels by reduced row echelon form, determinants by Laplace
+counts, lattice points and irreducible (Dickson) points of polyhedra by
+direct enumeration of a box, rational kernels by reduced row echelon form, determinants by Laplace
 expansion, and the grid certificates of the compatibility check by direct
 search with exactly expanded curve polynomials.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, prod
+from itertools import combinations, product
+from math import ceil, floor, gcd, prod
 
 
 def cross(a, b):
@@ -51,8 +51,6 @@ def box_points(bound, rank=2):
 def in_cone_caratheodory(gens, p) -> bool:
     """Membership in cone(gens) in any rank: p lies in the cone iff it is a
     nonnegative combination of some linearly independent subset."""
-    from itertools import combinations
-
     n = len(p)
     if all(x == 0 for x in p):
         return True
@@ -187,6 +185,40 @@ def lattice_points_oracle(constraints, lo, hi):
     every point of the box in lexicographic order."""
     box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     return [x for x in box if all(dot(a, x) >= -m for a, m in constraints)]
+
+
+def dickson_oracle(constraints, gens):
+    """The lattice points x of P = {x : <u, x> >= -m for all (u, m)} that no
+    generator h reduces (x - h outside P), in lexicographic order, by testing
+    every point of a box.
+
+    P must be pointed and its recession cone generated by gens. Then an
+    irreducible point is a convex combination of vertices plus sum t_h h with
+    0 <= t_h < 1, so the box is the hull of the vertices (the feasible
+    solutions of the nonsingular square subsystems, by Gauss-Jordan
+    elimination) widened by sum |h| in every coordinate.
+    """
+    n = len(constraints[0][0])
+
+    def inside(x):
+        return all(dot(u, x) >= -m for u, m in constraints)
+
+    verts = []
+    for subset in combinations(constraints, n):
+        sol = _solve_exact([list(u) for u, _ in subset], [-m for _, m in subset])
+        if sol is not None and inside(sol):
+            verts.append(sol)
+    if not verts:
+        return []
+    pad = [sum(abs(h[c]) for h in gens) for c in range(n)]
+    box = product(*(
+        range(floor(min(v[c] for v in verts)) - pad[c], ceil(max(v[c] for v in verts)) + pad[c] + 1)
+        for c in range(n)
+    ))
+    return [
+        x for x in box
+        if inside(x) and not any(inside(tuple(a - b for a, b in zip(x, h))) for h in gens)
+    ]
 
 
 def count_points_oracle(constraints, bound):

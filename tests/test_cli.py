@@ -217,6 +217,26 @@ class TestErrorHandling:
         assert "resolve-fan" in err
 
 
+class TestBoxCoverage:
+    def test_one_cone_for_all_points(self, monkeypatch):
+        from toricbound.cones import RationalCone
+        from toricbound.hilbert import hilbert_basis
+
+        cone = RationalCone.from_generators([(1, 0), (1, 2)], 2, "M")
+        basis = hilbert_basis(cone)
+        built = []
+        for name in ("from_generators", "from_inequalities"):
+            original = getattr(RationalCone, name)
+
+            def counting(*args, original=original, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(RationalCone, name, staticmethod(counting))
+        cli._verify_box_coverage(cone, basis, 22)
+        assert 1 <= len(built) <= 2
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         for name in ("strip", "example3", "tentacle-diag"):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -70,6 +71,12 @@ class TestRelint:
         assert ray.relint_contains((-2, -2))
         assert not ray.relint_contains((0, 0))
         assert not ray.relint_contains((1, 1))
+
+    def test_non_integral_point_rejected(self):
+        for test in (ORTHANT_N.contains, ORTHANT_N.relint_contains):
+            with pytest.raises(ValueError, match="not an integer"):
+                test((Fraction(1, 2), 1))
+            assert test((Fraction(2), 1))
 
     def test_zero_cone_relint(self):
         z = RationalCone.zero(2, "N")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,18 +11,22 @@ from toricbound.hilbert import (
     _parallelepiped_points,
     binomial_parts,
     dickson_decompose,
+    dickson_decompose_scaled,
     hilbert_basis,
     lattice_kernel_relations,
     semigroup_contains,
+    semigroup_membership,
 )
 
 from oracles import (
     _solve_exact,
     box_points,
     det,
+    dickson_oracle,
     hilbert_basis_by_continued_fraction,
     hilbert_count_by_continued_fraction,
     hilbert_oracle,
+    in_cone2,
 )
 
 
@@ -103,6 +108,20 @@ class TestSemigroupContains:
         assert semigroup_contains(SemigroupBasis(2, "M", ()), (0, 0))
         assert not semigroup_contains(SemigroupBasis(2, "M", ()), (1, 0))
 
+    def test_non_integral_point_rejected(self):
+        orthant = hilbert_basis(mcone((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="not an integer"):
+            semigroup_contains(orthant, (Fraction(1, 2), 0))
+        assert semigroup_contains(orthant, (Fraction(4, 2), 1))
+
+    def test_membership_against_cone_oracle(self):
+        # a Hilbert basis generates every lattice point of its cone
+        for rays in (((1, 0), (1, 2)), ((2, 1),), ((1, 0), (0, 1), (0, -1)),
+                     ((1, 0), (-1, 0), (0, 1), (0, -1)), ((3, -1), (-1, 2))):
+            contains = semigroup_membership(hilbert_basis(mcone(*rays)))
+            for p in box_points(5):
+                assert contains(p) == in_cone2(rays, p), (rays, p)
+
     @pytest.mark.parametrize(
         "rays, point",
         [
@@ -140,6 +159,47 @@ class TestDicksonDecompose:
         poly = ShiftedPolyhedron(2, "M", (((1, 0), -2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
         out = dickson_decompose(poly, SemigroupBasis(2, "M", ()))
         assert out.generators == ()
+
+    def test_non_integral_point_rejected(self):
+        orthant = ShiftedPolyhedron(2, "M", (((1, 0), 0), ((0, 1), 0)))
+        with pytest.raises(ValueError, match="not an integer"):
+            orthant.contains((Fraction(-1, 2), 0))
+        assert orthant.contains((Fraction(2), 0))
+
+    def test_scaled_pass_against_box_oracle(self):
+        # random pointed polygons; their fibres include reducible intervals
+        # nested inside one another
+        rng = random.Random(5)
+        checked = 0
+        while checked < 40:
+            us = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 4))]
+            if (0, 0) in us:
+                continue
+            cone = RationalCone.from_inequalities(us, 2, "M")
+            if cone.is_zero() or not cone.is_pointed():
+                continue
+            cons = tuple((u, rng.randint(-3, 5)) for u in us)
+            poly = ShiftedPolyhedron(2, "M", cons)
+            base = hilbert_basis(cone)
+            scales = [0, 1, 2, 5, 3]
+            out = dickson_decompose_scaled(poly, base, scales)
+            for s, got in zip(scales, out):
+                scaled = tuple((u, s * m) for u, m in cons)
+                want = dickson_oracle(scaled, base.generators)
+                assert sorted(got.generators) == want, (cons, s)
+                assert got == dickson_decompose(ShiftedPolyhedron(2, "M", scaled), base)
+            checked += 1
+
+    def test_scale_zero_of_an_empty_polyhedron_is_the_cone(self):
+        poly = ShiftedPolyhedron(2, "M", (((1, 0), -1), ((0, 1), -1), ((-1, -1), 1)))
+        zero, one = dickson_decompose_scaled(poly, SemigroupBasis(2, "M", ()), (0, 1))
+        assert zero.generators == ((0, 0),)
+        assert one.generators == ()
+
+    def test_negative_scale_rejected(self):
+        poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            dickson_decompose_scaled(poly, ORTHANT_SEMIGROUP, (1, -1))
 
     def test_recession_mismatch(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
