@@ -31,7 +31,7 @@ from .cones import RationalCone
 from .fans import Fan2D, make_fan
 from .hilbert import SemigroupBasis, hilbert_basis
 from .intlin import dot, is_zero, primitive_tuple, vec_neg, vec_sub
-from .linalg import LatticeVector
+from .linalg import lattice_point
 
 Vec = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -51,9 +51,7 @@ class LaurentPoly:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[Vec, Fraction] = {}
         for exp, coef in items:
-            exp = tuple(int(x) for x in (exp.coords if hasattr(exp, "coords") else exp))
-            if len(exp) != rank:
-                raise ValueError("exponent rank mismatch")
+            exp = lattice_point(exp, rank)
             c = acc.get(exp, Fraction(0)) + Fraction(coef)
             if c == 0:
                 acc.pop(exp, None)
@@ -184,17 +182,6 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _direction(v, rank: int) -> Vec:
-    if isinstance(v, LatticeVector):
-        if v.side != "N":
-            raise ValueError("grading directions live in N")
-        v = v.coords
-    v = tuple(int(x) for x in v)
-    if len(v) != rank:
-        raise ValueError("direction rank mismatch")
-    return v
-
-
 def initial_form(f: LaurentPoly, v) -> LaurentPoly:
     """The sum of the terms of f of smallest v-degree.
 
@@ -204,7 +191,7 @@ def initial_form(f: LaurentPoly, v) -> LaurentPoly:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no initial form")
-    v = _direction(v, f.rank)
+    v = lattice_point(v, f.rank, "N")
     degs = [dot(e, v) for e, _ in f.terms]
     d = min(degs)
     return LaurentPoly(f.rank, [(e, c) for (e, c), dd in zip(f.terms, degs) if dd == d])
@@ -214,7 +201,7 @@ def lambda_sequence(f: LaurentPoly, v) -> list[LaurentPoly]:
     """The nonzero v-homogeneous components of f in strictly increasing v-degree."""
     if f.is_zero():
         raise ValueError("zero polynomial has no component sequence")
-    v = _direction(v, f.rank)
+    v = lattice_point(v, f.rank, "N")
     by_degree: dict[int, list] = {}
     for e, c in f.terms:
         by_degree.setdefault(dot(e, v), []).append((e, c))
@@ -233,14 +220,12 @@ class BinomialSet:
     constants: tuple[Fraction, ...]
 
     def __post_init__(self):
-        gammas = tuple(tuple(int(x) for x in g) for g in self.gammas)
+        gammas = tuple(lattice_point(g, self.rank) for g in self.gammas)
         consts = tuple(Fraction(c) for c in self.constants)
         if not gammas:
             raise ValueError("need at least one binomial inequality")
         if len(gammas) != len(consts):
             raise ValueError("gammas and constants must pair up")
-        if any(len(g) != self.rank for g in gammas):
-            raise ValueError("exponent rank mismatch")
         if any(c <= 0 for c in consts):
             raise ValueError("constants must be positive")
         object.__setattr__(self, "gammas", gammas)
@@ -254,7 +239,7 @@ class BinomialSet:
             a, b = Fraction(a), Fraction(b)
             if a <= 0 or b <= 0:
                 raise ValueError("binomial normalization needs positive coefficients")
-            gammas.append(vec_sub(tuple(alpha), tuple(beta)))
+            gammas.append(vec_sub(lattice_point(alpha, rank), lattice_point(beta, rank)))
             consts.append(b / a)
         return BinomialSet(rank, tuple(gammas), tuple(consts))
 
@@ -269,9 +254,7 @@ class Tentacle:
     v: Vec
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.v)
-        if len(v) != self.rank:
-            raise ValueError("direction rank mismatch")
+        v = lattice_point(self.v, self.rank)
         if is_zero(v):
             raise ValueError("tentacle direction must be nonzero")
         object.__setattr__(self, "v", primitive_tuple(v))
@@ -431,33 +414,27 @@ def adapted_fan(s: ProblemSet, sigma: RationalCone) -> Fan2D:
     return fan
 
 
-def _check_adapted_to_cone(fan: Fan2D, k0: RationalCone):
-    """The growth cone must be a union of fan cones: no 2-cone may straddle its
-    boundary and no ray of it may pass through a 2-cone's interior."""
-    for a, b in fan.cone_pairs():
-        two = RationalCone.from_generators([a, b], 2, "N")
-        cut = two.intersect(k0)
-        if cut.dim() == 2 and cut != two:
-            raise ValueError(f"fan not adapted: cone({a}, {b}) straddles the growth cone")
-        if cut.dim() == 1 and cut.generators[0] not in (a, b):
-            raise ValueError(
-                f"fan not adapted: growth-cone boundary ray {cut.generators[0]} "
-                f"passes through the interior of cone({a}, {b})"
-            )
+def _adapted_rays(s: ProblemSet) -> list[Vec]:
+    """The rays every fan adapted to S must have.
+
+    For binomial sets and tentacles these are the boundary rays of K0. On a
+    complete rank-2 fan, K0 is a union of fan cones iff each of them is a
+    fan ray: the interior of a 2-cone holds no fan ray, so then it misses the
+    boundary of K0 and lies inside K0 or outside it, while a boundary ray
+    that is no fan ray cuts the 2-cone around it. For basic sets they are
+    the breaking rays."""
+    if isinstance(s, BasicSet):
+        return _basic_breaking_rays(s)
+    return _growth_boundary_rays(K_sets(s)[1])
 
 
-def _check_adapted(fan: Fan2D, sigma: RationalCone, s: ProblemSet):
+def _require_rays(fan: Fan2D, rays, what: str):
+    """Raise unless the fan is complete and has every one of the rays."""
     if not fan.complete:
         raise ValueError("the fan must be complete")
-    for g in sigma.generators:
-        if g not in fan.rays:
-            raise ValueError(f"fan does not contain the sigma ray {g}")
-    if isinstance(s, (BinomialSet, Tentacle)):
-        _check_adapted_to_cone(fan, K_sets(s)[1])
-    else:
-        missing = [r for r in _basic_breaking_rays(s) if r not in fan.rays]
-        if missing:
-            raise ValueError(f"fan not adapted: missing breaking rays {sorted(set(missing))}")
+    missing = sorted(set(rays).difference(fan.rays))
+    if missing:
+        raise ValueError(f"{what} {missing}")
 
 
 # -- the bounded-function subfan -----------------------------------------------
@@ -487,9 +464,7 @@ def subfan_FS(fan: Fan2D, sigma: RationalCone, k0: RationalCone) -> FSData:
     """Select the cones whose rays all lie in sigma or meet the growth cone,
     and compute the Hilbert basis of the dual of their support."""
     _check_sigma(sigma, 2)
-    if not fan.complete:
-        raise ValueError("the fan must be complete")
-    _check_adapted_to_cone(fan, k0)
+    _require_rays(fan, _growth_boundary_rays(k0), "fan not adapted: missing growth-cone rays")
     kept: list[tuple[Vec, bool]] = []
     for u in fan.rays:
         in_sigma = sigma.contains(u)
@@ -529,7 +504,7 @@ def certify_K0_membership(s: BasicSet, v, grid=None) -> Certificate:
     """Sound test for v ∈ K0(S): a grid point with all initial forms positive
     witnesses an open set swept into S along direction v. Never claims 'not in'.
     Decided in integer arithmetic (see ``_scan_ray``)."""
-    return _scan_ray(_direction(v, s.rank), *_prepare(s, grid, ()))[0]
+    return _scan_ray(lattice_point(v, s.rank, "N"), *_prepare(s, grid, ()))[0]
 
 
 def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate:
@@ -542,7 +517,7 @@ def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate
     moving base points. The sign of each f along a curve is decided in
     integer arithmetic by the exact curve polynomial P(t) of
     ``_curve_sign``, with no truncation depth."""
-    return _scan_ray(_direction(v, s.rank), *_prepare(s, grid, drifts))[1]
+    return _scan_ray(lattice_point(v, s.rank, "N"), *_prepare(s, grid, drifts))[1]
 
 
 def _curve_sign(g: _Cleared, shifts, point, eta) -> int:
@@ -657,7 +632,8 @@ def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=N
     integer arithmetic, the drift test by the exact curve polynomial.
     """
     _check_sigma(sigma, 2 if isinstance(s, BasicSet) else s.rank)
-    _check_adapted(fan, sigma, s)
+    _require_rays(fan, sigma.generators, "fan does not contain the sigma rays")
+    _require_rays(fan, _adapted_rays(s), "fan not adapted: missing rays")
     if isinstance(s, BinomialSet):
         return TCReport(
             TCStatus.VERIFIED, None,

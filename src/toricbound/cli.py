@@ -2,7 +2,8 @@
 machine-readable reports.
 
 Exit codes: 0 success; 2 validation error (malformed JSON, schema violation,
-unsupported rank, an option beyond its limit); 3 mathematically inconclusive
+unsupported rank, an option beyond its limit, an unreadable input or
+unwritable output); 3 mathematically inconclusive
 (the compatibility condition is Violated or Unknown but the command needs it
 Verified).
 """
@@ -299,11 +300,14 @@ def render(obj) -> str:
 
 def _emit(obj, cfg: RunConfig):
     text = render(obj)
-    if cfg.output_path:
+    if not cfg.output_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.output_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {cfg.output_path}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,21 +356,22 @@ def main(argv=None) -> int:
             cfg.grid, cfg.drifts = _parse_grid_spec(args.grid)
         if not 0 <= cfg.n_max <= MAX_NMAX:
             raise SchemaError(f"--nmax {cfg.n_max} is outside 0..MAX_NMAX = {MAX_NMAX}")
-        result = _DISPATCH[cfg.command](cfg)
+        try:
+            result = _DISPATCH[cfg.command](cfg)
+        except Inconclusive as exc:
+            _emit(tc_report_to_json(exc.report), cfg)
+            print(f"error: compatibility condition not verified: {exc}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        _emit(result, cfg)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return EXIT_INVALID
-    except Inconclusive as exc:
-        _emit(tc_report_to_json(exc.report), cfg)
-        print(f"error: compatibility condition not verified: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except (SchemaError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(result, cfg)
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .intlin import (
     dot,
-    integer_point,
     is_zero,
     primitive_tuple,
     project_off_span,
@@ -22,7 +21,7 @@ from .intlin import (
     saturate,
     vec_neg,
 )
-from .linalg import OTHER_SIDE, SIDES, LatticeVector
+from .linalg import OTHER_SIDE, SIDES, lattice_point
 
 MAX_RANK = 6
 MAX_GENERATORS = 32
@@ -129,7 +128,7 @@ class RationalCone:
     @staticmethod
     def from_generators(vectors, rank: int, side: str) -> "RationalCone":
         _check_rank_side(rank, side)
-        raw = _clean(vectors, rank, "generator")
+        raw = _clean(vectors, rank)
         if len(raw) > MAX_GENERATORS:
             raise ValueError(f"too many generators ({len(raw)} > {MAX_GENERATORS})")
         dual_rays, dual_lin = _dd_dual(raw, rank)
@@ -141,7 +140,7 @@ class RationalCone:
     @staticmethod
     def from_inequalities(vectors, rank: int, side: str) -> "RationalCone":
         _check_rank_side(rank, side)
-        raw = _clean(vectors, rank, "inequality")
+        raw = _clean(vectors, rank)
         prim_rays, prim_lin = _dd_dual(raw, rank)
         gens, lin_basis = _canonical_vectors(prim_rays, prim_lin)
         dual_rays, dual_lin = _dd_dual(list(gens), rank)
@@ -182,12 +181,12 @@ class RationalCone:
     # -- membership ----------------------------------------------------------
 
     def contains(self, v) -> bool:
-        v = _coords(v, self.rank, self.side)
+        v = lattice_point(v, self.rank, self.side)
         return all(dot(a, v) >= 0 for a in self.inequalities)
 
     def relint_contains(self, v) -> bool:
         """True iff v lies in the relative interior of the cone."""
-        v = _coords(v, self.rank, self.side)
+        v = lattice_point(v, self.rank, self.side)
         for a in self.inequalities:
             vanishes = all(dot(a, g) == 0 for g in self.generators)
             s = dot(a, v)
@@ -260,28 +259,12 @@ def _check_rank_side(rank: int, side: str):
         raise ValueError(f"ambient rank must be in 1..{MAX_RANK}, got {rank}")
 
 
-def _coords(v, rank: int, side: str) -> Vec:
-    if isinstance(v, LatticeVector):
-        if v.side != side:
-            raise ValueError(f"vector side {v.side} does not match cone side {side}")
-        v = v.coords
-    v = integer_point(v)
-    if len(v) != rank:
-        raise ValueError(f"vector rank {len(v)} does not match cone rank {rank}")
-    return v
-
-
-def _clean(vectors, rank: int, what: str) -> list[Vec]:
+def _clean(vectors, rank: int) -> list[Vec]:
     out = []
     for v in vectors:
-        if isinstance(v, LatticeVector):
-            v = v.coords
-        v = tuple(int(x) for x in v)
-        if len(v) != rank:
-            raise ValueError(f"{what} of rank {len(v)} in a rank-{rank} cone")
-        if is_zero(v):
-            continue
-        out.append(primitive_tuple(v))
+        v = lattice_point(v, rank)
+        if not is_zero(v):
+            out.append(primitive_tuple(v))
     return sorted(dict.fromkeys(out))
 
 

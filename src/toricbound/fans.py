@@ -14,6 +14,7 @@ from functools import cmp_to_key
 from .cones import RationalCone
 from .hilbert import hilbert_basis
 from .intlin import is_zero, primitive_tuple, vec_add
+from .linalg import lattice_point
 
 Vec = tuple[int, int]
 
@@ -78,9 +79,7 @@ def make_fan(rays) -> Fan2D:
     """
     cleaned = []
     for r in rays:
-        r = tuple(int(x) for x in (r.coords if hasattr(r, "coords") else r))
-        if len(r) != 2:
-            raise ValueError("fan rays must have rank 2")
+        r = lattice_point(r, 2)
         if is_zero(r):
             raise ValueError("zero vector is not a ray")
         cleaned.append(primitive_tuple(r))

@@ -31,7 +31,6 @@ from .intlin import (
     dot,
     hnf,
     integer_kernel,
-    integer_point,
     integer_solve,
     interval_cut,
     is_zero,
@@ -43,6 +42,7 @@ from .intlin import (
     vec_neg,
     vec_sub,
 )
+from .linalg import lattice_point
 
 Vec = tuple[int, ...]
 
@@ -92,7 +92,7 @@ class ShiftedPolyhedron:
     constraints: tuple[tuple[Vec, int], ...]
 
     def contains(self, beta) -> bool:
-        beta = integer_point(beta)
+        beta = lattice_point(beta, self.rank)
         return all(dot(u, beta) >= -m for u, m in self.constraints)
 
     def recession_cone(self) -> RationalCone:
@@ -272,9 +272,7 @@ def semigroup_membership(basis: SemigroupBasis) -> Callable[[Iterable], bool]:
     search = _pointed_search(gens, len(proj) if proj is not None else rank)
 
     def contains(beta) -> bool:
-        beta = integer_point(beta)
-        if len(beta) != rank:
-            raise ValueError("rank mismatch")
+        beta = lattice_point(beta, rank)
         if proj is not None:
             beta = tuple(dot(q, beta) for q in proj)
         return search(beta)
@@ -415,14 +413,15 @@ def _dickson_pointed(poly: ShiftedPolyhedron, hs, scales) -> list[tuple[Vec, ...
 
 def lattice_kernel_relations(gens) -> list[Vec]:
     """Canonical basis of the integer relations {c : sum c_i * gens_i = 0}."""
-    gens = [tuple(int(x) for x in (g.coords if hasattr(g, "coords") else g)) for g in gens]
+    gens = list(gens)
     if len(gens) > 8:
         raise ValueError("at most 8 generators supported")
     if not gens:
         return []
-    n = len(gens[0])
+    n = len(lattice_point(gens[0]))
     if n > 4:
         raise ValueError("rank at most 4 supported")
+    gens = [lattice_point(g, n) for g in gens]
     rows = [tuple(g[c] for g in gens) for c in range(n)]
     return hnf(integer_kernel(rows))
 

@@ -239,21 +239,6 @@ def integer_solve(rows, rhs):
     return tuple(sum(U[i][j] * yi[j] for j in range(n)) for i in range(n))
 
 
-def integer_point(v) -> Vec:
-    """The coordinates of v as ints. A coordinate that is not an integer,
-    such as Fraction(1, 2), raises ValueError instead of being truncated.
-
-    >>> integer_point([Fraction(4, 2), -3])
-    (2, -3)
-    """
-    v = tuple(v)
-    out = tuple(int(x) for x in v)
-    if out != v:
-        bad = next(x for x, y in zip(v, out) if x != y)
-        raise ValueError(f"coordinate {bad} is not an integer")
-    return out
-
-
 def lattice_fibres(constraints, lo, hi) -> list[tuple[Vec, int, int, list[int]]]:
     """The nonempty fibres along the last coordinate of the integer points x
     with lo <= x <= hi and <a, x> >= -m for every (a, m) in constraints, in

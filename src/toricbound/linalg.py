@@ -28,7 +28,7 @@ class LatticeVector:
     def __post_init__(self):
         if self.side not in SIDES:
             raise ValueError(f"side must be 'M' or 'N', got {self.side!r}")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", lattice_point(self.coords))
         if not self.coords:
             raise ValueError("rank must be positive")
 
@@ -58,6 +58,30 @@ class LatticeVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+
+def lattice_point(v, rank: int | None = None, side: str | None = None) -> tuple[int, ...]:
+    """The coordinates of a lattice vector as a tuple of ints: the one intake
+    of every constructor, direction and membership test.
+
+    v is a sequence or an object with ``coords``, such as a LatticeVector. A
+    coordinate that is not an integer, such as Fraction(1, 2), raises
+    ValueError instead of being truncated; so does a length other than rank,
+    and a LatticeVector of the other side than side, when those are given.
+
+    >>> lattice_point([Fraction(4, 2), -3], rank=2)
+    (2, -3)
+    """
+    if side is not None and isinstance(v, LatticeVector) and v.side != side:
+        raise ValueError(f"vector of side {v.side} where side {side} is expected")
+    coords = tuple(getattr(v, "coords", v))
+    out = tuple(map(int, coords))
+    if out != coords:
+        bad = next(x for x, y in zip(coords, out) if x != y)
+        raise ValueError(f"coordinate {bad} is not an integer")
+    if rank is not None and len(out) != rank:
+        raise ValueError(f"vector of rank {len(out)} where rank {rank} is expected")
+    return out
 
 
 def mvec(*coords: int) -> LatticeVector:

@@ -17,7 +17,7 @@ from .cones import RationalCone
 from .fans import Fan2D, is_smooth
 from .hilbert import hilbert_basis, SemigroupBasis
 from .intlin import clear_denominators, solve_rational
-from .linalg import Inertia, SymmetricRationalMatrix, inertia
+from .linalg import Inertia, SymmetricRationalMatrix, inertia, lattice_point
 
 Vec = tuple[int, int]
 
@@ -77,7 +77,7 @@ class DivisorSelection:
 
     def __post_init__(self):
         m = self.surface.fan.n_rays
-        t = tuple(sorted(set(int(i) for i in self.T)))
+        t = tuple(sorted(set(lattice_point(self.T))))
         if any(not 0 <= i < m for i in t):
             raise ValueError("ray index out of range")
         object.__setattr__(self, "T", t)
@@ -86,7 +86,7 @@ class DivisorSelection:
     def from_rays(surface: ToricSurface, rays) -> "DivisorSelection":
         idx = []
         for r in rays:
-            r = tuple(int(x) for x in (r.coords if hasattr(r, "coords") else r))
+            r = lattice_point(r, 2)
             if r not in surface.rays:
                 raise ValueError(f"{r} is not a ray of the surface")
             idx.append(surface.rays.index(r))
@@ -128,7 +128,7 @@ def chain_classify(surface: ToricSurface, chain) -> ChainClass:
     """Classify the intersection matrix of the interior of a consecutive ray
     chain rho_0, ..., rho_{n+1}, by signature and by the position of the end
     rays relative to the line through rho_0. The two answers must coincide."""
-    chain = tuple(int(i) for i in chain)
+    chain = lattice_point(chain)
     m = surface.fan.n_rays
     if len(chain) < 3:
         raise ValueError("a chain needs at least one interior ray")
@@ -254,9 +254,7 @@ def function_ring_basis(sel: DivisorSelection) -> SemigroupBasis:
 def weighted_square(sel: DivisorSelection, multiplicities) -> int:
     """Self-intersection number of the weighted divisor sum(m_i * Y_i) over the
     selected rays: the quadratic form of the intersection matrix."""
-    mult = [int(m) for m in multiplicities]
-    if len(mult) != len(sel.T):
-        raise ValueError("one multiplicity per selected ray")
+    mult = lattice_point(multiplicities, len(sel.T))
     mat = intersection_matrix(sel)
     img = mat.apply(mult)
     total = sum(m * x for m, x in zip(mult, img))

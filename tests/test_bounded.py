@@ -26,6 +26,7 @@ from toricbound.bounded import (
     subfan_FS,
 )
 from toricbound.cones import RationalCone
+from toricbound.fans import make_fan
 
 from oracles import curve_sign, poly_value, tc_oracle
 
@@ -286,10 +287,8 @@ class TestSubfanFS:
         assert fs.dual_basis.is_trivial()
 
     def test_not_adapted_rejected(self):
-        from toricbound.fans import make_fan
-
         bad = make_fan([(1, 0), (0, 1), (-1, -1)])
-        with pytest.raises(ValueError, match="adapted"):
+        with pytest.raises(ValueError, match="fan not adapted"):
             subfan_FS(bad, ORTHANT, K_sets(STRIP)[1])
 
     def test_binomial_two_routes_agree(self):
@@ -337,6 +336,88 @@ class TestCheckTC:
         fan = adapted_fan(s, ZERO)
         report = check_tc(fan, ZERO, s)
         assert report.status is TCStatus.UNKNOWN
+
+
+P2 = ((1, 0), (0, 1), (-1, -1))
+
+
+def adapted_by_cones(fan, k0):
+    """The per-cone rule: K0 is a union of fan cones iff no 2-cone straddles
+    its boundary and no ray of K0 passes through a 2-cone's interior."""
+    for a, b in fan.cone_pairs():
+        two = RationalCone.from_generators([a, b], 2, "N")
+        cut = two.intersect(k0)
+        if cut.dim() == 2 and cut != two:
+            return False
+        if cut.dim() == 1 and cut.generators[0] not in (a, b):
+            return False
+    return True
+
+
+def random_k0(rng, shape, fan_rays):
+    def ray():
+        if rng.random() < 0.5:
+            return rng.choice(fan_rays)
+        while True:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if v != (0, 0):
+                return v
+
+    if shape == "zero":
+        return RationalCone.zero(2, "N")
+    if shape == "full":
+        return RationalCone.full(2, "N")
+    if shape == "ray":
+        return RationalCone.from_generators([ray()], 2, "N")
+    u = ray()
+    if shape == "line":
+        return RationalCone.from_generators([u, (-u[0], -u[1])], 2, "N")
+    if shape == "half-plane":
+        return RationalCone.from_inequalities([u], 2, "N")
+    while True:
+        w = ray()
+        if u[0] * w[1] - u[1] * w[0]:
+            return RationalCone.from_generators([u, w], 2, "N")
+
+
+class TestAdaptedness:
+    def test_check_tc_incomplete_fan(self):
+        with pytest.raises(ValueError, match="must be complete"):
+            check_tc(make_fan([(1, 0), (0, 1)]), ORTHANT, STRIP)
+
+    def test_check_tc_missing_sigma_ray(self):
+        with pytest.raises(ValueError, match="sigma rays"):
+            check_tc(make_fan([(1, 0), (0, -1), (-1, 1)]), ORTHANT, STRIP)
+
+    @pytest.mark.parametrize("s", [HYPERBOLA2, Tentacle(2, (1, 2)), BasicSet(2, (X + Y,))])
+    def test_check_tc_not_adapted(self, s):
+        with pytest.raises(ValueError, match="fan not adapted"):
+            check_tc(make_fan(P2), ORTHANT, s)
+
+    def test_subfan_incomplete_fan(self):
+        with pytest.raises(ValueError, match="must be complete"):
+            subfan_FS(make_fan([(1, 0), (0, 1)]), ORTHANT, K_sets(STRIP)[1])
+
+    def test_ray_rule_matches_per_cone_rule(self):
+        rng = random.Random(11)
+        shapes = ("zero", "ray", "line", "half-plane", "pointed", "full")
+        seen = {(shape, ok): 0 for shape in shapes for ok in (True, False)}
+        for _ in range(240):
+            extra = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+            fan = make_fan(list(P2) + [v for v in extra if v != (0, 0)])
+            shape = rng.choice(shapes)
+            k0 = random_k0(rng, shape, fan.rays)
+            expected = adapted_by_cones(fan, k0)
+            try:
+                subfan_FS(fan, ZERO, k0)
+                adapted = True
+            except ValueError as exc:
+                assert "fan not adapted" in str(exc)
+                adapted = False
+            assert adapted == expected, (fan.rays, k0)
+            seen[shape, adapted] += 1
+        assert all(seen[shape, True] for shape in shapes)
+        assert all(seen[shape, False] for shape in ("ray", "line", "half-plane", "pointed"))
 
 
 class TestCertifiers:

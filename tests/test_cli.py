@@ -149,6 +149,15 @@ class TestErrorHandling:
         assert code == 2
         assert "no input" in err
 
+    @pytest.mark.parametrize("corpus", ["strip", "example3"])
+    def test_unwritable_output(self, tmp_path, corpus):
+        # strip succeeds; example3 is Inconclusive, whose report is written too
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(["bounded", "--corpus", corpus, "--output", str(target)])
+        assert code == 2 and out == ""
+        assert f"cannot write {target}" in err
+        assert "Traceback" not in err
+
     def test_stability_rejects_basic_sets(self):
         code, _, err = run_cli(["stability", "--corpus", "example3"])
         assert code == 2

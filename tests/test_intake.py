@@ -1,0 +1,102 @@
+"""Every constructor, direction and membership test reads lattice coordinates
+through ``linalg.lattice_point``: a non-integral coordinate raises instead of
+being truncated, an integral Fraction passes, and a wrong length raises
+wherever the rank is known."""
+
+from fractions import Fraction
+
+import pytest
+
+from toricbound.bounded import (
+    BasicSet,
+    BinomialSet,
+    LaurentPoly,
+    Tentacle,
+    certify_K0_membership,
+    certify_orbit_meeting,
+    initial_form,
+    lambda_sequence,
+)
+from toricbound.cones import RationalCone
+from toricbound.fans import make_fan
+from toricbound.hilbert import (
+    SemigroupBasis,
+    ShiftedPolyhedron,
+    lattice_kernel_relations,
+    semigroup_contains,
+    semigroup_membership,
+)
+from toricbound.linalg import LatticeVector, lattice_point, mvec, nvec
+from toricbound.surface import DivisorSelection, ToricSurface, chain_classify, weighted_square
+
+F = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
+ORTHANT_N = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
+ORTHANT_BASIS = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
+# a smooth complete fan with the ray (2, 1)
+SURFACE = ToricSurface.from_fan(make_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)]))
+
+# (name, call, a valid vector, whether the site knows the rank)
+SITES = [
+    ("lattice_point", lambda v: lattice_point(v, 2), (2, 1), True),
+    ("LatticeVector", lambda v: LatticeVector(v, "M"), (2, 1), False),
+    ("LaurentPoly", lambda v: LaurentPoly(2, {v: 1}), (2, 1), True),
+    ("initial_form", lambda v: initial_form(F, v), (2, 1), True),
+    ("lambda_sequence", lambda v: lambda_sequence(F, v), (2, 1), True),
+    ("certify_K0_membership", lambda v: certify_K0_membership(BasicSet(2, (F,)), v), (2, 1), True),
+    ("certify_orbit_meeting", lambda v: certify_orbit_meeting(BasicSet(2, (F,)), v), (2, 1), True),
+    ("BinomialSet", lambda v: BinomialSet(2, (v,), (1,)), (2, 1), True),
+    ("from_inequality_data",
+     lambda v: BinomialSet.from_inequality_data([(1, v, 1, (0, 0))], 2), (2, 1), True),
+    ("Tentacle", lambda v: Tentacle(2, v), (2, 1), True),
+    ("from_generators", lambda v: RationalCone.from_generators([v], 2, "M"), (2, 1), True),
+    ("from_inequalities", lambda v: RationalCone.from_inequalities([v], 2, "M"), (2, 1), True),
+    ("contains", ORTHANT_N.contains, (2, 1), True),
+    ("relint_contains", ORTHANT_N.relint_contains, (2, 1), True),
+    ("make_fan", lambda v: make_fan([v, (0, 1), (-1, -1)]), (2, 1), True),
+    ("DivisorSelection.from_rays", lambda v: DivisorSelection.from_rays(SURFACE, [v]), (2, 1), True),
+    ("DivisorSelection.T", lambda v: DivisorSelection(SURFACE, v), (2, 1), False),
+    ("chain_classify", lambda v: chain_classify(SURFACE, v), (2, 3, 4), False),
+    ("weighted_square", lambda v: weighted_square(DivisorSelection(SURFACE, (0, 1)), v), (2, 1), True),
+    ("lattice_kernel_relations", lambda v: lattice_kernel_relations([(1, 0), v]), (2, 1), True),
+    ("semigroup_membership", semigroup_membership(ORTHANT_BASIS), (2, 1), True),
+    ("semigroup_contains", lambda v: semigroup_contains(ORTHANT_BASIS, v), (2, 1), True),
+    ("ShiftedPolyhedron.contains",
+     ShiftedPolyhedron(2, "M", (((1, 0), 0), ((0, 1), 0))).contains, (2, 1), True),
+]
+IDS = [name for name, *_ in SITES]
+
+
+@pytest.mark.parametrize("name, call, good, ranked", SITES, ids=IDS)
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3, 2)])
+def test_non_integral_coordinate_rejected(name, call, good, ranked, bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        call((good[0] + bad, *good[1:]))
+
+
+@pytest.mark.parametrize("name, call, good, ranked", SITES, ids=IDS)
+def test_integral_fraction_accepted(name, call, good, ranked):
+    assert call(tuple(Fraction(2 * x, 2) for x in good)) == call(good)
+
+
+@pytest.mark.parametrize(
+    "name, call, good, ranked", [site for site in SITES if site[3]],
+    ids=[name for name, *_, ranked in SITES if ranked],
+)
+@pytest.mark.parametrize("extend", [1, -1])
+def test_wrong_length_rejected(name, call, good, ranked, extend):
+    v = good + (0,) if extend > 0 else good[:1]
+    with pytest.raises(ValueError, match="rank"):
+        call(v)
+
+
+def test_lattice_vector_coordinates_are_accepted():
+    assert ORTHANT_N.contains(nvec(2, 1))
+    assert initial_form(F, nvec(2, 1)) == initial_form(F, (2, 1))
+    assert lattice_point(mvec(2, 1)) == (2, 1)
+
+
+@pytest.mark.parametrize("call", [ORTHANT_N.contains, ORTHANT_N.relint_contains,
+                                  lambda v: initial_form(F, v)])
+def test_wrong_side_rejected(call):
+    with pytest.raises(ValueError, match="side"):
+        call(mvec(2, 1))

@@ -1,5 +1,9 @@
 """Regenerate the bundled corpus inputs and their golden outputs.
 
+Each golden is written by the command line itself, as
+`toricbound COMMAND --corpus NAME [--OPTION VALUE ...] --output GOLDEN`, so it
+goes through every option check; a nonzero exit stops the run.
+
 Run from the repository root: python tools/gen_corpus.py
 """
 
@@ -158,11 +162,12 @@ def main():
     for entry in ENTRIES:
         name = entry["name"]
         (CORPUS / f"{name}.json").write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
-        cfg = cli.RunConfig(command=entry["command"])
-        cfg.corpus_name = name
-        cfg.n_max = entry.get("options", {}).get("nmax", 5)
-        result = cli._DISPATCH[entry["command"]](cfg)
-        (CORPUS / f"{name}.golden.json").write_text(cli.render(result))
+        args = [entry["command"], "--corpus", name]
+        for key, val in entry.get("options", {}).items():
+            args += [f"--{key}", str(val)]
+        code = cli.main(args + ["--output", str(CORPUS / f"{name}.golden.json")])
+        if code != 0:
+            raise SystemExit(f"{name}: {entry['command']} exited {code}")
         print(f"{name}: ok")
 
 
