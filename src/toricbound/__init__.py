@@ -23,18 +23,16 @@ from .bounded import (
     certify_orbit_meeting,
     initial_form,
     is_trivial_bounded_ring,
-    lambda_sequence,
     subfan_FS,
 )
-from .cones import RationalCone, dual_cone, intersect, is_pointed, minkowski_sum, relint_contains
-from .fans import Fan2D, is_smooth, make_fan, refine, smooth_resolution, star_subdivide
+from .cones import RationalCone
+from .fans import Fan2D, is_smooth, make_fan, smooth_resolution, star_subdivide
 from .filtration import (
     FiltrationLevel,
     StabilityReport,
     StabilityVerdict,
     filtration_level,
     filtration_levels,
-    filtration_multiplicativity_check,
     total_stability_certificate,
 )
 from .hilbert import (
@@ -48,7 +46,7 @@ from .hilbert import (
     semigroup_contains,
     semigroup_membership,
 )
-from .linalg import Inertia, LatticeVector, SymmetricRationalMatrix, inertia, pairing, primitive
+from .linalg import Inertia, SymmetricRationalMatrix, inertia
 from .surface import (
     ChainClass,
     DivisorSelection,

@@ -191,21 +191,10 @@ def initial_form(f: LaurentPoly, v) -> LaurentPoly:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no initial form")
-    v = lattice_point(v, f.rank, "N")
+    v = lattice_point(v, f.rank)
     degs = [dot(e, v) for e, _ in f.terms]
     d = min(degs)
     return LaurentPoly(f.rank, [(e, c) for (e, c), dd in zip(f.terms, degs) if dd == d])
-
-
-def lambda_sequence(f: LaurentPoly, v) -> list[LaurentPoly]:
-    """The nonzero v-homogeneous components of f in strictly increasing v-degree."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no component sequence")
-    v = lattice_point(v, f.rank, "N")
-    by_degree: dict[int, list] = {}
-    for e, c in f.terms:
-        by_degree.setdefault(dot(e, v), []).append((e, c))
-    return [LaurentPoly(f.rank, by_degree[d]) for d in sorted(by_degree)]
 
 
 # -- problem specifications ---------------------------------------------------
@@ -504,7 +493,7 @@ def certify_K0_membership(s: BasicSet, v, grid=None) -> Certificate:
     """Sound test for v ∈ K0(S): a grid point with all initial forms positive
     witnesses an open set swept into S along direction v. Never claims 'not in'.
     Decided in integer arithmetic (see ``_scan_ray``)."""
-    return _scan_ray(lattice_point(v, s.rank, "N"), *_prepare(s, grid, ()))[0]
+    return _scan_ray(lattice_point(v, s.rank), *_prepare(s, grid, ()))[0]
 
 
 def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate:
@@ -517,7 +506,7 @@ def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate
     moving base points. The sign of each f along a curve is decided in
     integer arithmetic by the exact curve polynomial P(t) of
     ``_curve_sign``, with no truncation depth."""
-    return _scan_ray(lattice_point(v, s.rank, "N"), *_prepare(s, grid, drifts))[1]
+    return _scan_ray(lattice_point(v, s.rank), *_prepare(s, grid, drifts))[1]
 
 
 def _curve_sign(g: _Cleared, shifts, point, eta) -> int:

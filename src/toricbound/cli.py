@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -83,18 +82,6 @@ MAX_NMAX = 100
 MAX_GRID_VALUES = 32
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    corpus_name: str | None = None
-    output_path: str | None = None
-    grid: list | None = None
-    drifts: list | None = None
-    n_max: int = 5
-    box: int | None = None
-
-
 class Inconclusive(Exception):
     """Raised when a command needs a Verified compatibility condition."""
 
@@ -143,64 +130,64 @@ def _parse_grid_spec(spec: str):
     return grid, drifts
 
 
-def _load_input(cfg: RunConfig):
-    if cfg.corpus_name is not None:
-        return corpus_entry(cfg.corpus_name)["input"]
-    if cfg.input_path is None:
+def _load_input(args):
+    if args.corpus_name is not None:
+        return corpus_entry(args.corpus_name)["input"]
+    if args.input is None:
         raise SchemaError("no input: pass --input PATH or --corpus NAME")
-    if cfg.input_path == "-":
+    if args.input == "-":
         text = sys.stdin.read()
     else:
         try:
-            with open(cfg.input_path) as fh:
+            with open(args.input) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise SchemaError(f"cannot read {cfg.input_path}: {exc}")
+            raise SchemaError(f"cannot read {args.input}: {exc}")
     return json.loads(text)
 
 
-def _tc_gate(sigma, s, cfg: RunConfig):
+def _tc_gate(sigma, s, args):
     """For basic sets, require a Verified compatibility condition; returns the
     subfan data of the kept rays."""
     fan = adapted_fan(s, sigma)
-    report = check_tc(fan, sigma, s, cfg.grid, cfg.drifts)
+    report = check_tc(fan, sigma, s, args.grid, args.drifts)
     if report.status is not TCStatus.VERIFIED:
         raise Inconclusive(report)
     return subfan_FS(fan, sigma, RationalCone.full(2, "N"))
 
 
-def _cmd_bounded(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_bounded(args):
+    sigma, s = problem_from_json(_load_input(args))
     if isinstance(s, BasicSet):
-        _tc_gate(sigma, s, cfg)
+        _tc_gate(sigma, s, args)
         basis = SemigroupBasis(s.rank, "M", ())
     else:
         basis = bounded_ring(sigma, s)
     return semigroup_to_json(basis)
 
 
-def _cmd_ksets(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_ksets(args):
+    sigma, s = problem_from_json(_load_input(args))
     if isinstance(s, BasicSet):
         raise SchemaError("ksets requires a binomial or tentacle set")
     k, k0, equal = K_sets(s)
     return {"K": cone_to_json(k), "K0": cone_to_json(k0), "equal": equal}
 
 
-def _cmd_adapted_fan(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_adapted_fan(args):
+    sigma, s = problem_from_json(_load_input(args))
     return fan_to_json(adapted_fan(s, sigma))
 
 
-def _cmd_tc_check(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_tc_check(args):
+    sigma, s = problem_from_json(_load_input(args))
     fan = adapted_fan(s, sigma)
-    return tc_report_to_json(check_tc(fan, sigma, s, cfg.grid, cfg.drifts))
+    return tc_report_to_json(check_tc(fan, sigma, s, args.grid, args.drifts))
 
 
-def _cmd_hilbert(cfg: RunConfig):
-    cone = cone_from_json(_load_input(cfg))
-    box = cfg.box
+def _cmd_hilbert(args):
+    cone = cone_from_json(_load_input(args))
+    box = args.box
     if box is not None and (box < 0 or (2 * box + 1) ** cone.rank > MAX_BOX_POINTS):
         raise SchemaError(
             f"--box {box} is out of range: B must be >= 0 and [-B, B]^{cone.rank} "
@@ -208,9 +195,9 @@ def _cmd_hilbert(cfg: RunConfig):
         )
     basis = hilbert_basis(cone)
     out = semigroup_to_json(basis)
-    if cfg.box is not None:
-        _verify_box_coverage(cone, basis, cfg.box)
-        out["verified_box"] = cfg.box
+    if args.box is not None:
+        _verify_box_coverage(cone, basis, args.box)
+        out["verified_box"] = args.box
     return out
 
 
@@ -222,13 +209,13 @@ def _verify_box_coverage(cone: RationalCone, basis, bound: int):
             raise AssertionError(f"lattice point {pt} not covered by the basis")
 
 
-def _cmd_inertia(cfg: RunConfig):
-    mat = matrix_from_json(_load_input(cfg))
+def _cmd_inertia(args):
+    mat = matrix_from_json(_load_input(args))
     return inertia_to_json(inertia(mat))
 
 
-def _cmd_surface_classify(cfg: RunConfig):
-    obj = _load_input(cfg)
+def _cmd_surface_classify(args):
+    obj = _load_input(args)
     if not isinstance(obj, dict):
         raise SchemaError("$: expected an object with 'fan' and 'T'")
     fan = fan_from_json(obj.get("fan"), "$.fan")
@@ -248,34 +235,34 @@ def _cmd_surface_classify(cfg: RunConfig):
     return iitaka_to_json(iitaka_classify(sel))
 
 
-def _cmd_filtration(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_filtration(args):
+    sigma, s = problem_from_json(_load_input(args))
     if isinstance(s, BasicSet):
-        fs = _tc_gate(sigma, s, cfg)
+        fs = _tc_gate(sigma, s, args)
     else:
         fan = adapted_fan(s, sigma)
         fs = subfan_FS(fan, sigma, K_sets(s)[1])
     return {
         "bounded_basis": semigroup_to_json(fs.dual_basis),
-        "levels": [level_to_json(lv) for lv in filtration_levels(fs, cfg.n_max)],
+        "levels": [level_to_json(lv) for lv in filtration_levels(fs, args.nmax)],
     }
 
 
-def _cmd_stability(cfg: RunConfig):
-    sigma, s = problem_from_json(_load_input(cfg))
+def _cmd_stability(args):
+    sigma, s = problem_from_json(_load_input(args))
     if isinstance(s, BasicSet):
         raise SchemaError("stability requires a binomial or tentacle set")
-    return stability_to_json(total_stability_certificate(sigma, s, cfg.n_max))
+    return stability_to_json(total_stability_certificate(sigma, s, args.nmax))
 
 
-def _cmd_resolve_fan(cfg: RunConfig):
-    fan = fan_from_json(_load_input(cfg), "$")
+def _cmd_resolve_fan(args):
+    fan = fan_from_json(_load_input(args), "$")
     if not fan.complete:
         raise SchemaError("$: resolution needs a complete fan")
     return fan_to_json(smooth_resolution(fan))
 
 
-def _cmd_corpus(cfg: RunConfig):
+def _cmd_corpus(args):
     return corpus_list()
 
 
@@ -298,16 +285,16 @@ def render(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(obj, cfg: RunConfig):
+def _emit(obj, args):
     text = render(obj)
-    if not cfg.output_path:
+    if not args.output:
         sys.stdout.write(text)
         return
     try:
-        with open(cfg.output_path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SchemaError(f"cannot write {cfg.output_path}: {exc}")
+        raise SchemaError(f"cannot write {args.output}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricbound",
         description="Exact bounded-function rings on affine toric varieties.",
     )
+    parser.set_defaults(input=None, corpus_name=None, output=None, grid=None, nmax=5, box=None)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -345,24 +333,17 @@ def _join_grid(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
-    cfg = RunConfig(command=args.command)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.corpus_name = getattr(args, "corpus_name", None)
-    cfg.output_path = getattr(args, "output", None)
-    cfg.n_max = getattr(args, "nmax", 5)
-    cfg.box = getattr(args, "box", None)
     try:
-        if getattr(args, "grid", None):
-            cfg.grid, cfg.drifts = _parse_grid_spec(args.grid)
-        if not 0 <= cfg.n_max <= MAX_NMAX:
-            raise SchemaError(f"--nmax {cfg.n_max} is outside 0..MAX_NMAX = {MAX_NMAX}")
+        args.grid, args.drifts = _parse_grid_spec(args.grid) if args.grid else (None, None)
+        if not 0 <= args.nmax <= MAX_NMAX:
+            raise SchemaError(f"--nmax {args.nmax} is outside 0..MAX_NMAX = {MAX_NMAX}")
         try:
-            result = _DISPATCH[cfg.command](cfg)
+            result = _DISPATCH[args.command](args)
         except Inconclusive as exc:
-            _emit(tc_report_to_json(exc.report), cfg)
+            _emit(tc_report_to_json(exc.report), args)
             print(f"error: compatibility condition not verified: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
-        _emit(result, cfg)
+        _emit(result, args)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

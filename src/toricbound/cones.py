@@ -21,12 +21,16 @@ from .intlin import (
     saturate,
     vec_neg,
 )
-from .linalg import OTHER_SIDE, SIDES, lattice_point
+from .linalg import lattice_point
 
 MAX_RANK = 6
 MAX_GENERATORS = 32
 
 Vec = tuple[int, ...]
+
+# the character lattice M and the cocharacter lattice N, dual to each other
+SIDES = ("M", "N")
+OTHER_SIDE = {"M": "N", "N": "M"}
 
 
 def _dd_dual(constraints: list[Vec], rank: int) -> tuple[list[Vec], list[Vec]]:
@@ -115,8 +119,10 @@ class RationalCone:
     """A finitely generated rational convex cone, canonical in both descriptions.
 
     ``generators`` are primitive and lexicographically sorted; the cone is also
-    {v : <a, v> >= 0 for every a in ``inequalities``}. The two lists live in
-    dual lattices: an 'M'-cone has 'N' inequality vectors and vice versa.
+    {v : <a, v> >= 0 for every a in ``inequalities``}. ``side`` is the lattice
+    of the generators and of every vector tested against the cone, which is a
+    plain tuple of ints; the inequalities live in the dual lattice, so an
+    'M'-cone has 'N' inequality vectors and vice versa.
     """
 
     rank: int
@@ -181,12 +187,12 @@ class RationalCone:
     # -- membership ----------------------------------------------------------
 
     def contains(self, v) -> bool:
-        v = lattice_point(v, self.rank, self.side)
+        v = lattice_point(v, self.rank)
         return all(dot(a, v) >= 0 for a in self.inequalities)
 
     def relint_contains(self, v) -> bool:
         """True iff v lies in the relative interior of the cone."""
-        v = lattice_point(v, self.rank, self.side)
+        v = lattice_point(v, self.rank)
         for a in self.inequalities:
             vanishes = all(dot(a, g) == 0 for g in self.generators)
             s = dot(a, v)
@@ -228,28 +234,6 @@ class RationalCone:
     def _check_same_lattice(self, other: "RationalCone"):
         if self.rank != other.rank or self.side != other.side:
             raise ValueError("cones live in different lattices")
-
-
-def dual_cone(cone: RationalCone) -> RationalCone:
-    if cone.rank > MAX_RANK:
-        raise ValueError(f"rank {cone.rank} exceeds the supported {MAX_RANK}")
-    return cone.dual()
-
-
-def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
-    return a.intersect(b)
-
-
-def minkowski_sum(a: RationalCone, b: RationalCone) -> RationalCone:
-    return a.minkowski_sum(b)
-
-
-def is_pointed(cone: RationalCone) -> bool:
-    return cone.is_pointed()
-
-
-def relint_contains(cone: RationalCone, v) -> bool:
-    return cone.relint_contains(v)
 
 
 def _check_rank_side(rank: int, side: str):

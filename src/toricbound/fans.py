@@ -93,14 +93,6 @@ def make_fan(rays) -> Fan2D:
     return Fan2D(tuple(unique), complete)
 
 
-def refine(fan: Fan2D, extra_rays) -> Fan2D:
-    """The fan on the union of the ray sets; refines every cone of the input."""
-    extra = list(extra_rays)
-    if not extra:
-        return fan
-    return make_fan(list(fan.rays) + extra)
-
-
 def star_subdivide(fan: Fan2D, i: int) -> Fan2D:
     """Insert the primitive sum of rays i and i+1 (cyclically): the toric blow-up
     of the corresponding fixed point."""

@@ -36,7 +36,6 @@ from .hilbert import (
     ShiftedPolyhedron,
     dickson_decompose_scaled,
 )
-from .intlin import vec_add
 
 Vec = tuple[int, ...]
 
@@ -99,18 +98,6 @@ def _levels(fs: FSData, ns) -> tuple[FiltrationLevel, ...]:
             len(gens.generators) if finite else INFINITE,
         )
         for n, gens in zip(ns, decompositions)
-    )
-
-
-def filtration_multiplicativity_check(level_m: FiltrationLevel, level_n: FiltrationLevel) -> bool:
-    """Level m times level n lands in level m+n: checked on module generators."""
-    if level_m.fs != level_n.fs:
-        raise ValueError("levels must come from the same subfan")
-    target = level_polyhedron(level_m.fs, level_m.n + level_n.n)
-    return all(
-        target.contains(vec_add(a, b))
-        for a in level_m.generators.generators
-        for b in level_n.generators.generators
     )
 
 

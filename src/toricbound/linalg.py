@@ -1,8 +1,8 @@
-"""Lattice vectors, the character/cocharacter pairing, and exact matrix inertia.
+"""The checked intake of lattice coordinates, and exact matrix inertia.
 
-The two dual lattices are tagged 'M' (characters, monomial exponents) and 'N'
-(cocharacters, one-parameter subgroup directions). All matrix arithmetic is
-exact rational; inertia is computed by fraction-free symmetric elimination on
+A lattice vector is a tuple of ints; which lattice, M or N, it lives in is
+the lattice of the cone it is used with. All matrix arithmetic is exact
+rational; inertia is computed by fraction-free symmetric elimination on
 the matrix scaled to integers, with a unimodular congruence step where the
 diagonal is zero, and never sees a floating-point number.
 """
@@ -12,102 +12,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlin import bareiss_step, primitive_tuple, scale_to_integers
-
-SIDES = ("M", "N")
-OTHER_SIDE = {"M": "N", "N": "M"}
+from .intlin import bareiss_step, scale_to_integers
 
 
-@dataclass(frozen=True, order=True)
-class LatticeVector:
-    """An element of the character lattice M or the cocharacter lattice N."""
-
-    coords: tuple[int, ...]
-    side: str
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be 'M' or 'N', got {self.side!r}")
-        object.__setattr__(self, "coords", lattice_point(self.coords))
-        if not self.coords:
-            raise ValueError("rank must be positive")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def _check_compatible(self, other: "LatticeVector"):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        if self.side != other.side:
-            raise ValueError(f"side mismatch: {self.side} vs {other.side}")
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.side)
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check_compatible(other)
-        return LatticeVector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.side)
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(tuple(-a for a in self.coords), self.side)
-
-    def scale(self, k: int) -> "LatticeVector":
-        return LatticeVector(tuple(k * a for a in self.coords), self.side)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-def lattice_point(v, rank: int | None = None, side: str | None = None) -> tuple[int, ...]:
+def lattice_point(v, rank: int | None = None) -> tuple[int, ...]:
     """The coordinates of a lattice vector as a tuple of ints: the one intake
     of every constructor, direction and membership test.
 
-    v is a sequence or an object with ``coords``, such as a LatticeVector. A
-    coordinate that is not an integer, such as Fraction(1, 2), raises
-    ValueError instead of being truncated; so does a length other than rank,
-    and a LatticeVector of the other side than side, when those are given.
+    A coordinate that is not an integer, such as Fraction(1, 2), '1', None or
+    an infinity, raises ValueError instead of being truncated; so does a length
+    other than rank, when rank is given.
 
     >>> lattice_point([Fraction(4, 2), -3], rank=2)
     (2, -3)
+    >>> lattice_point([float("inf"), 0])
+    Traceback (most recent call last):
+    ...
+    ValueError: coordinate inf is not an integer
     """
-    if side is not None and isinstance(v, LatticeVector) and v.side != side:
-        raise ValueError(f"vector of side {v.side} where side {side} is expected")
-    coords = tuple(getattr(v, "coords", v))
-    out = tuple(map(int, coords))
+    coords = tuple(v)
+    try:
+        out = tuple(map(int, coords))
+    except (OverflowError, TypeError, ValueError):
+        out = None
     if out != coords:
-        bad = next(x for x, y in zip(coords, out) if x != y)
-        raise ValueError(f"coordinate {bad} is not an integer")
+        bad = next(x for x in coords if not _is_integer(x))
+        raise ValueError(f"coordinate {bad!r} is not an integer")
     if rank is not None and len(out) != rank:
         raise ValueError(f"vector of rank {len(out)} where rank {rank} is expected")
     return out
 
 
-def mvec(*coords: int) -> LatticeVector:
-    return LatticeVector(tuple(coords), "M")
-
-
-def nvec(*coords: int) -> LatticeVector:
-    return LatticeVector(tuple(coords), "N")
-
-
-def pairing(alpha: LatticeVector, v: LatticeVector) -> int:
-    """The perfect pairing <alpha, v> between M and N: the standard dot product."""
-    if alpha.side != "M" or v.side != "N":
-        raise ValueError(f"pairing needs (M, N) arguments, got ({alpha.side}, {v.side})")
-    if alpha.rank != v.rank:
-        raise ValueError(f"rank mismatch: {alpha.rank} vs {v.rank}")
-    return sum(a * b for a, b in zip(alpha.coords, v.coords))
-
-
-def primitive(v: LatticeVector) -> LatticeVector:
-    """The primitive vector on the ray through v. Errors on the zero vector.
-
-    >>> primitive(nvec(6, -9)).coords
-    (2, -3)
-    """
-    return LatticeVector(primitive_tuple(v.coords), v.side)
+def _is_integer(x) -> bool:
+    try:
+        return int(x) == x
+    except (OverflowError, TypeError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -171,12 +111,6 @@ class SymmetricRationalMatrix:
     def apply(self, vec):
         """Matrix-vector product, exact."""
         return tuple(sum(r[j] * Fraction(vec[j]) for j in range(self.size)) for r in self.rows)
-
-    def permuted(self, perm) -> "SymmetricRationalMatrix":
-        """Simultaneous row/column permutation (a congruence)."""
-        return SymmetricRationalMatrix(
-            [[self.rows[perm[i]][perm[j]] for j in range(self.size)] for i in range(self.size)]
-        )
 
 
 def inertia(mat: SymmetricRationalMatrix) -> Inertia:

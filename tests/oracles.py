@@ -221,6 +221,21 @@ def dickson_oracle(constraints, gens):
     ]
 
 
+def multiplicativity_oracle(level_m, level_n) -> bool:
+    """Level m times level n lands in level m + n, checked on module
+    generators: every sum a + b pairs to >= 0 with the rays of sigma and to
+    >= -(m + n) with the rays at infinity of the subfan."""
+    if level_m.fs != level_n.fs:
+        raise ValueError("levels must come from the same subfan")
+    k = level_m.n + level_n.n
+    return all(
+        dot(u, tuple(x + y for x, y in zip(a, b))) >= (0 if in_sigma else -k)
+        for a in level_m.generators.generators
+        for b in level_n.generators.generators
+        for u, in_sigma in level_m.fs.rays
+    )
+
+
 def count_points_oracle(constraints, bound):
     """|{x in [-bound, bound]^2 : <u, x> >= -m for all (u, m)}| by enumeration."""
     return sum(

@@ -22,13 +22,12 @@ from toricbound.bounded import (
     cone_CS,
     initial_form,
     is_trivial_bounded_ring,
-    lambda_sequence,
     subfan_FS,
 )
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan
 
-from oracles import curve_sign, poly_value, tc_oracle
+from oracles import curve_sign, dot, poly_value, tc_oracle
 
 ORTHANT = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
 ZERO = RationalCone.zero(2, "N")
@@ -36,6 +35,14 @@ ZERO = RationalCone.zero(2, "N")
 
 def lp(terms):
     return LaurentPoly(2, terms)
+
+
+def components(f, v):
+    """The terms of f grouped by v-degree, in increasing degree."""
+    by_degree = {}
+    for e, c in f.terms:
+        by_degree.setdefault(dot(e, v), []).append((e, c))
+    return tuple(tuple(sorted(by_degree[d])) for d in sorted(by_degree))
 
 
 X = lp({(1, 0): 1})
@@ -184,38 +191,6 @@ class TestInitialForm:
             initial_form(lp({}), (1, 1))
 
 
-class TestLambdaSequence:
-    def test_simple(self):
-        assert lambda_sequence(X + Y, (1, 2)) == [X, Y]
-
-    def test_mondal_netzer_curve(self):
-        seq = lambda_sequence(MN_F1, (1, 1))
-        assert seq == [lp({(1, 0): -1}), lp({(3, 1): 1}), lp({(6, 0): 1})]
-
-    def test_zero_direction(self):
-        assert lambda_sequence(MN_F1, (0, 0)) == [MN_F1]
-
-    def test_components_sum_to_f(self):
-        rng = random.Random(42)
-        for _ in range(25):
-            terms = {
-                (rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-4, 4)
-                for _ in range(rng.randint(1, 6))
-            }
-            f = lp(terms)
-            if f.is_zero():
-                continue
-            v = (rng.randint(-2, 2), rng.randint(-2, 2))
-            seq = lambda_sequence(f, v)
-            total = lp({})
-            degs = []
-            for comp in seq:
-                total = total + comp
-                degs.append(min(sum(a * b for a, b in zip(e, v)) for e in comp.support()))
-            assert total == f
-            assert degs == sorted(set(degs))
-
-
 class TestInitialFormMultiplicativity:
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -259,7 +234,7 @@ class TestAdaptedFan:
                 samples = []
                 for lam, mu in ((1, 1), (2, 1), (1, 2), (3, 2)):
                     v = (lam * a[0] + mu * b[0], lam * a[1] + mu * b[1])
-                    samples.append(tuple(tuple(sorted(c.terms)) for f in s.polys for c in lambda_sequence(f, v)))
+                    samples.append(tuple(components(f, v) for f in s.polys))
                 assert len(set(samples)) == 1, (a, b)
 
     def test_rank_limit(self):

@@ -1,6 +1,7 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import toricbound
 
@@ -21,3 +22,9 @@ def test_module_doctests():
         mod = importlib.import_module(f"toricbound.{name}")
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -5,7 +5,6 @@ import pytest
 from toricbound.fans import (
     is_smooth,
     make_fan,
-    refine,
     smooth_resolution,
     star_subdivide,
 )
@@ -44,18 +43,20 @@ class TestMakeFan:
 
 
 class TestRefine:
+    """A fan refines by make_fan on the union of its rays and the new ones."""
+
     def test_strip_fan(self):
-        fan = refine(P2, [(0, -1)])
+        fan = make_fan(P2.rays + ((0, -1),))
         assert fan.rays == ((1, 0), (0, 1), (-1, -1), (0, -1))
         assert fan.complete
 
     def test_hyperbola_fan(self):
-        fan = refine(P2, [(1, -2), (-1, 2)])
+        fan = make_fan(P2.rays + ((1, -2), (-1, 2)))
         assert fan.rays == ((1, 0), (0, 1), (-1, 2), (-1, -1), (1, -2))
 
     def test_noop(self):
-        assert refine(P2, []) == P2
-        assert refine(P2, [(1, 0)]) == P2
+        assert make_fan(P2.rays) == P2
+        assert make_fan(P2.rays + ((2, 0),)) == P2
 
 
 class TestStarSubdivide:

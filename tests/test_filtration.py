@@ -18,13 +18,12 @@ from toricbound.filtration import (
     StabilityVerdict,
     filtration_level,
     filtration_levels,
-    filtration_multiplicativity_check,
     level_polyhedron,
     total_stability_certificate,
 )
 from toricbound.serialize import problem_from_json
 
-from oracles import count_points_oracle, dickson_oracle
+from oracles import count_points_oracle, dickson_oracle, multiplicativity_oracle
 
 ORTHANT = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
 ZERO = RationalCone.zero(2, "N")
@@ -220,11 +219,11 @@ class TestMultiplicativity:
     def test_simplex_levels(self):
         fs = fs_for(TENT_DIAG, ORTHANT)
         l1 = filtration_level(fs, 1)
-        assert filtration_multiplicativity_check(l1, l1)
+        assert multiplicativity_oracle(l1, l1)
 
     def test_strip_levels(self):
         fs = fs_for(STRIP, ORTHANT)
-        assert filtration_multiplicativity_check(
+        assert multiplicativity_oracle(
             filtration_level(fs, 1), filtration_level(fs, 2)
         )
 
@@ -232,13 +231,13 @@ class TestMultiplicativity:
         fs = fs_for(STRIP, ORTHANT)
         l0 = filtration_level(fs, 0)
         for n in range(3):
-            assert filtration_multiplicativity_check(l0, filtration_level(fs, n))
+            assert multiplicativity_oracle(l0, filtration_level(fs, n))
 
     def test_different_subfans_rejected(self):
         a = filtration_level(fs_for(STRIP, ORTHANT), 1)
         b = filtration_level(fs_for(TENT_DIAG, ORTHANT), 1)
         with pytest.raises(ValueError):
-            filtration_multiplicativity_check(a, b)
+            multiplicativity_oracle(a, b)
 
 
 class TestStability:

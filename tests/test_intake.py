@@ -1,7 +1,7 @@
 """Every constructor, direction and membership test reads lattice coordinates
-through ``linalg.lattice_point``: a non-integral coordinate raises instead of
-being truncated, an integral Fraction passes, and a wrong length raises
-wherever the rank is known."""
+through ``linalg.lattice_point``: a non-integral or infinite coordinate raises
+ValueError instead of being truncated, an integral Fraction passes, and a
+wrong length raises wherever the rank is known."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from toricbound.bounded import (
     certify_K0_membership,
     certify_orbit_meeting,
     initial_form,
-    lambda_sequence,
 )
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan
@@ -26,7 +25,7 @@ from toricbound.hilbert import (
     semigroup_contains,
     semigroup_membership,
 )
-from toricbound.linalg import LatticeVector, lattice_point, mvec, nvec
+from toricbound.linalg import lattice_point
 from toricbound.surface import DivisorSelection, ToricSurface, chain_classify, weighted_square
 
 F = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
@@ -38,10 +37,8 @@ SURFACE = ToricSurface.from_fan(make_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -
 # (name, call, a valid vector, whether the site knows the rank)
 SITES = [
     ("lattice_point", lambda v: lattice_point(v, 2), (2, 1), True),
-    ("LatticeVector", lambda v: LatticeVector(v, "M"), (2, 1), False),
     ("LaurentPoly", lambda v: LaurentPoly(2, {v: 1}), (2, 1), True),
     ("initial_form", lambda v: initial_form(F, v), (2, 1), True),
-    ("lambda_sequence", lambda v: lambda_sequence(F, v), (2, 1), True),
     ("certify_K0_membership", lambda v: certify_K0_membership(BasicSet(2, (F,)), v), (2, 1), True),
     ("certify_orbit_meeting", lambda v: certify_orbit_meeting(BasicSet(2, (F,)), v), (2, 1), True),
     ("BinomialSet", lambda v: BinomialSet(2, (v,), (1,)), (2, 1), True),
@@ -67,7 +64,7 @@ IDS = [name for name, *_ in SITES]
 
 
 @pytest.mark.parametrize("name, call, good, ranked", SITES, ids=IDS)
-@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3, 2)])
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3, 2), float("inf")])
 def test_non_integral_coordinate_rejected(name, call, good, ranked, bad):
     with pytest.raises(ValueError, match="not an integer"):
         call((good[0] + bad, *good[1:]))
@@ -89,14 +86,14 @@ def test_wrong_length_rejected(name, call, good, ranked, extend):
         call(v)
 
 
-def test_lattice_vector_coordinates_are_accepted():
-    assert ORTHANT_N.contains(nvec(2, 1))
-    assert initial_form(F, nvec(2, 1)) == initial_form(F, (2, 1))
-    assert lattice_point(mvec(2, 1)) == (2, 1)
-
-
-@pytest.mark.parametrize("call", [ORTHANT_N.contains, ORTHANT_N.relint_contains,
-                                  lambda v: initial_form(F, v)])
-def test_wrong_side_rejected(call):
-    with pytest.raises(ValueError, match="side"):
-        call(mvec(2, 1))
+@pytest.mark.parametrize("coordinate, shown", [
+    (float("inf"), "inf"),
+    (float("nan"), "nan"),
+    ("1", "'1'"),
+    (None, "None"),
+    (Fraction(1, 2), "Fraction(1, 2)"),
+])
+def test_rejected_coordinate_is_shown_by_repr(coordinate, shown):
+    with pytest.raises(ValueError) as info:
+        lattice_point([0, coordinate], 2)
+    assert str(info.value) == f"coordinate {shown} is not an integer"

@@ -6,63 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbound.cli import corpus_entry
-from toricbound.linalg import (
-    Inertia,
-    LatticeVector,
-    SymmetricRationalMatrix,
-    inertia,
-    mvec,
-    nvec,
-    pairing,
-    primitive,
-)
+from toricbound.intlin import primitive_tuple
+from toricbound.linalg import Inertia, SymmetricRationalMatrix, inertia
 from toricbound.serialize import matrix_from_json
 
 from oracles import inertia_oracle
-
-
-class TestPairing:
-    def test_orthogonal_basis_vectors(self):
-        assert pairing(mvec(1, 0), nvec(0, 1)) == 0
-
-    def test_plain_dot_product(self):
-        assert pairing(mvec(2, 1), nvec(1, 1)) == 3
-
-    def test_hyperbola_boundary_ray(self):
-        # (k, 1) pairs to zero with (1, -k): the added rays of the hyperbola fan
-        # lie on the boundary of the half-space 2*v1 + v2 >= 0
-        assert pairing(mvec(2, 1), nvec(1, -2)) == 0
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError, match="rank"):
-            pairing(mvec(1, 0, 0), nvec(1, 0))
-
-    def test_side_mismatch(self):
-        with pytest.raises(ValueError, match="side|pairing"):
-            pairing(nvec(1, 0), nvec(0, 1))
-        with pytest.raises(ValueError):
-            pairing(mvec(1, 0), mvec(0, 1))
-
-
-class TestLatticeVector:
-    def test_arithmetic(self):
-        a, b = mvec(1, 2), mvec(3, -1)
-        assert (a + b).coords == (4, 1)
-        assert (a - b).coords == (-2, 3)
-        assert (-a).coords == (-1, -2)
-        assert a.scale(3).coords == (3, 6)
-
-    def test_mixed_sides_rejected(self):
-        with pytest.raises(ValueError):
-            mvec(1, 0) + nvec(0, 1)
-
-    def test_mixed_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            mvec(1, 0) + mvec(1, 0, 0)
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            LatticeVector((1, 0), "X")
 
 
 class TestPrimitive:
@@ -71,11 +19,11 @@ class TestPrimitive:
         [((2, 4), (1, 2)), ((0, -3), (0, -1)), ((6, -9), (2, -3))],
     )
     def test_examples(self, vec, expected):
-        assert primitive(nvec(*vec)).coords == expected
+        assert primitive_tuple(vec) == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            primitive(nvec(0, 0))
+            primitive_tuple((0, 0))
 
 
 def _corpus_matrix(name):
@@ -160,7 +108,8 @@ class TestInertiaProperties:
             mat = SymmetricRationalMatrix(rows)
             perm = list(range(6))
             rng.shuffle(perm)
-            assert inertia(mat) == inertia(mat.permuted(perm))
+            permuted = SymmetricRationalMatrix([[rows[i][j] for j in perm] for i in perm])
+            assert inertia(mat) == inertia(permuted)
 
     def test_unimodular_congruence_invariance(self):
         rng = random.Random(2)
