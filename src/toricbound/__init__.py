@@ -59,7 +59,6 @@ from .surface import (
     intersection_matrix,
     positive_combination,
     self_intersections,
-    weighted_square,
 )
 
 __version__ = "0.1.0"

@@ -220,18 +220,6 @@ class BinomialSet:
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "constants", consts)
 
-    @staticmethod
-    def from_inequality_data(rows, rank: int) -> "BinomialSet":
-        """Normalize inequalities a*xi^alpha < b*xi^beta to xi^(alpha-beta) < b/a."""
-        gammas, consts = [], []
-        for a, alpha, b, beta in rows:
-            a, b = Fraction(a), Fraction(b)
-            if a <= 0 or b <= 0:
-                raise ValueError("binomial normalization needs positive coefficients")
-            gammas.append(vec_sub(lattice_point(alpha, rank), lattice_point(beta, rank)))
-            consts.append(b / a)
-        return BinomialSet(rank, tuple(gammas), tuple(consts))
-
 
 @dataclass(frozen=True)
 class Tentacle:
@@ -444,9 +432,6 @@ class FSData:
     cone_pairs: tuple[tuple[Vec, Vec], ...]
     support_hull: RationalCone
     dual_basis: SemigroupBasis
-
-    def infinity_rays(self) -> tuple[Vec, ...]:
-        return tuple(u for u, in_sigma in self.rays if not in_sigma)
 
 
 def subfan_FS(fan: Fan2D, sigma: RationalCone, k0: RationalCone) -> FSData:

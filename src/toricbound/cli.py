@@ -50,20 +50,6 @@ from .serialize import (
 )
 from .surface import DivisorSelection, ToricSurface, iitaka_classify
 
-COMMANDS = (
-    "bounded",
-    "ksets",
-    "adapted-fan",
-    "tc-check",
-    "hilbert",
-    "inertia",
-    "surface-classify",
-    "filtration",
-    "stability",
-    "resolve-fan",
-    "corpus",
-)
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
@@ -304,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(input=None, corpus_name=None, output=None, grid=None, nmax=5, box=None)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         if name != "corpus":
             p.add_argument("--input", help="path to the input JSON ('-' for stdin)")

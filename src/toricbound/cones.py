@@ -190,19 +190,6 @@ class RationalCone:
         v = lattice_point(v, self.rank)
         return all(dot(a, v) >= 0 for a in self.inequalities)
 
-    def relint_contains(self, v) -> bool:
-        """True iff v lies in the relative interior of the cone."""
-        v = lattice_point(v, self.rank)
-        for a in self.inequalities:
-            vanishes = all(dot(a, g) == 0 for g in self.generators)
-            s = dot(a, v)
-            if vanishes:
-                if s != 0:
-                    return False
-            elif s <= 0:
-                return False
-        return True
-
     # -- constructions -------------------------------------------------------
 
     def dual(self) -> "RationalCone":

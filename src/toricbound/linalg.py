@@ -68,9 +68,6 @@ class Inertia:
     def is_negative_definite(self) -> bool:
         return self.n_plus == 0 and self.n_zero == 0
 
-    def is_negative_semidefinite(self) -> bool:
-        return self.n_plus == 0
-
 
 class SymmetricRationalMatrix:
     """A symmetric matrix with exact rational entries.

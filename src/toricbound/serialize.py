@@ -131,16 +131,12 @@ def fan_from_json(obj, path: str = "fan") -> Fan2D:
     _expect(obj, dict, path)
     rays = _expect(obj.get("rays"), list, f"{path}.rays")
     fan = make_fan([parse_vector(r, f"{path}.rays[{i}]", 2) for i, r in enumerate(rays)])
-    if "complete" in obj and bool(obj["complete"]) != fan.complete:
+    if "complete" in obj and _expect(obj["complete"], bool, f"{path}.complete") != fan.complete:
         _fail(f"{path}.complete", f"fan is {'' if fan.complete else 'not '}complete")
     return fan
 
 
 # -- matrices --------------------------------------------------------------------
-
-
-def matrix_to_json(mat: SymmetricRationalMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat.rows]
 
 
 def matrix_from_json(obj, path: str = "matrix") -> SymmetricRationalMatrix:
@@ -168,12 +164,6 @@ def semigroup_to_json(basis: SemigroupBasis) -> dict:
 # -- Laurent polynomials ---------------------------------------------------------
 
 
-def poly_to_json(f: LaurentPoly) -> dict:
-    return {
-        "terms": [{"exp": _vec_json(e), "coef": str(c)} for e, c in f.terms]
-    }
-
-
 def poly_from_json(obj, path: str, rank: int) -> LaurentPoly:
     _expect(obj, dict, path)
     terms = _expect(obj.get("terms"), list, f"{path}.terms")
@@ -190,20 +180,6 @@ def poly_from_json(obj, path: str, rank: int) -> LaurentPoly:
 
 
 # -- problem specifications ------------------------------------------------------
-
-
-def problem_to_json(sigma: RationalCone, s: ProblemSet) -> dict:
-    if isinstance(s, BinomialSet):
-        body = {
-            "type": "binomial",
-            "gammas": _vecs_json(s.gammas),
-            "constants": [str(c) for c in s.constants],
-        }
-    elif isinstance(s, Tentacle):
-        body = {"type": "tentacle", "v": _vec_json(s.v)}
-    else:
-        body = {"type": "basic", "polys": [poly_to_json(f) for f in s.polys]}
-    return {"sigma": cone_to_json(sigma), "set": body}
 
 
 def problem_from_json(obj, path: str = "$") -> tuple[RationalCone, ProblemSet]:

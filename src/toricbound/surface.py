@@ -59,9 +59,6 @@ class ToricSurface:
     def rays(self) -> tuple[Vec, ...]:
         return self.fan.rays
 
-    def self_intersection(self, i: int) -> int:
-        return -self.b[i]
-
 
 def self_intersections(fan: Fan2D) -> ToricSurface:
     """Compute all b_i for a smooth complete fan; Y_i^2 = -b_i."""
@@ -249,18 +246,6 @@ def function_ring_basis(sel: DivisorSelection) -> SemigroupBasis:
     comp_rays = [sel.surface.rays[i] for i in sel.complement()]
     cone = RationalCone.from_generators(comp_rays, 2, "N")
     return hilbert_basis(cone.dual())
-
-
-def weighted_square(sel: DivisorSelection, multiplicities) -> int:
-    """Self-intersection number of the weighted divisor sum(m_i * Y_i) over the
-    selected rays: the quadratic form of the intersection matrix."""
-    mult = lattice_point(multiplicities, len(sel.T))
-    mat = intersection_matrix(sel)
-    img = mat.apply(mult)
-    total = sum(m * x for m, x in zip(mult, img))
-    if total.denominator != 1:
-        raise AssertionError("intersection numbers must be integers")
-    return int(total)
 
 
 def positive_combination(mat: SymmetricRationalMatrix) -> tuple[int, ...]:

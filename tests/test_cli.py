@@ -225,6 +225,13 @@ class TestErrorHandling:
         assert code == 2
         assert "resolve-fan" in err
 
+    def test_complete_flag_must_be_boolean(self, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rays": [["1", "0"], ["0", "1"], ["-1", "-1"]], "complete": "false"}))
+        code, out, err = run_cli(["resolve-fan", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "$.complete: expected bool, got str" in err
+
 
 class TestBoxCoverage:
     def test_one_cone_for_all_points(self, monkeypatch):

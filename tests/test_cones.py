@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -58,32 +57,6 @@ class TestIsPointed:
         assert RationalCone.zero(2, "N").is_pointed()
 
 
-class TestRelint:
-    def test_interior_point(self):
-        assert ORTHANT_N.relint_contains((1, 1))
-
-    def test_boundary_point(self):
-        assert not ORTHANT_N.relint_contains((1, 0))
-        assert ORTHANT_N.contains((1, 0))
-
-    def test_ray_relint(self):
-        ray = ncone((-1, -1))
-        assert ray.relint_contains((-2, -2))
-        assert not ray.relint_contains((0, 0))
-        assert not ray.relint_contains((1, 1))
-
-    def test_non_integral_point_rejected(self):
-        for test in (ORTHANT_N.contains, ORTHANT_N.relint_contains):
-            with pytest.raises(ValueError, match="not an integer"):
-                test((Fraction(1, 2), 1))
-            assert test((Fraction(2), 1))
-
-    def test_zero_cone_relint(self):
-        z = RationalCone.zero(2, "N")
-        assert z.relint_contains((0, 0))
-        assert not z.relint_contains((1, 0))
-
-
 class TestIntersect:
     def test_orthant_absorbs_halfplane(self):
         half = RationalCone.from_inequalities([(2, 1)], 2, "M")
@@ -139,9 +112,6 @@ class TestCanonicalProperties:
                 c = _random_cone(rng, rank)
                 for g in c.generators:
                     assert c.contains(g)
-                for p in product(range(-2, 3), repeat=rank):
-                    if c.relint_contains(p):
-                        assert c.contains(p)
 
     def test_intersect_commutative_associative_idempotent(self):
         rng = random.Random(13)

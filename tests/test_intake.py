@@ -26,7 +26,7 @@ from toricbound.hilbert import (
     semigroup_membership,
 )
 from toricbound.linalg import lattice_point
-from toricbound.surface import DivisorSelection, ToricSurface, chain_classify, weighted_square
+from toricbound.surface import DivisorSelection, ToricSurface, chain_classify
 
 F = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
 ORTHANT_N = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
@@ -42,18 +42,14 @@ SITES = [
     ("certify_K0_membership", lambda v: certify_K0_membership(BasicSet(2, (F,)), v), (2, 1), True),
     ("certify_orbit_meeting", lambda v: certify_orbit_meeting(BasicSet(2, (F,)), v), (2, 1), True),
     ("BinomialSet", lambda v: BinomialSet(2, (v,), (1,)), (2, 1), True),
-    ("from_inequality_data",
-     lambda v: BinomialSet.from_inequality_data([(1, v, 1, (0, 0))], 2), (2, 1), True),
     ("Tentacle", lambda v: Tentacle(2, v), (2, 1), True),
     ("from_generators", lambda v: RationalCone.from_generators([v], 2, "M"), (2, 1), True),
     ("from_inequalities", lambda v: RationalCone.from_inequalities([v], 2, "M"), (2, 1), True),
     ("contains", ORTHANT_N.contains, (2, 1), True),
-    ("relint_contains", ORTHANT_N.relint_contains, (2, 1), True),
     ("make_fan", lambda v: make_fan([v, (0, 1), (-1, -1)]), (2, 1), True),
     ("DivisorSelection.from_rays", lambda v: DivisorSelection.from_rays(SURFACE, [v]), (2, 1), True),
     ("DivisorSelection.T", lambda v: DivisorSelection(SURFACE, v), (2, 1), False),
     ("chain_classify", lambda v: chain_classify(SURFACE, v), (2, 3, 4), False),
-    ("weighted_square", lambda v: weighted_square(DivisorSelection(SURFACE, (0, 1)), v), (2, 1), True),
     ("lattice_kernel_relations", lambda v: lattice_kernel_relations([(1, 0), v]), (2, 1), True),
     ("semigroup_membership", semigroup_membership(ORTHANT_BASIS), (2, 1), True),
     ("semigroup_contains", lambda v: semigroup_contains(ORTHANT_BASIS, v), (2, 1), True),

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toricbound.bounded import BasicSet, BinomialSet, LaurentPoly, Tentacle
+from toricbound.cli import corpus_entry
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan
 from toricbound.serialize import (
@@ -12,11 +13,8 @@ from toricbound.serialize import (
     fan_from_json,
     fan_to_json,
     matrix_from_json,
-    matrix_to_json,
     poly_from_json,
-    poly_to_json,
     problem_from_json,
-    problem_to_json,
     semigroup_to_json,
 )
 from toricbound.hilbert import SemigroupBasis
@@ -68,16 +66,19 @@ class TestFanRoundtrip:
         assert fan_from_json(obj) == fan
 
     def test_complete_flag_checked(self):
-        with pytest.raises(SchemaError, match="complete"):
+        p2 = [["1", "0"], ["0", "1"], ["-1", "-1"]]
+        with pytest.raises(SchemaError, match="fan is not complete"):
             fan_from_json({"rays": [["1", "0"]], "complete": True})
+        # only a JSON boolean is a flag: a string, a number or null is rejected
+        for rays, flag in ((p2, "false"), (p2, 0), (p2, None), (p2[:2], "no")):
+            with pytest.raises(SchemaError, match=r"fan\.complete: expected bool"):
+                fan_from_json({"rays": rays, "complete": flag})
 
 
 class TestMatrixRoundtrip:
     def test_roundtrip(self):
         mat = SymmetricRationalMatrix([[Fraction(-3), 1], [1, Fraction(1, 2)]])
-        obj = matrix_to_json(mat)
-        assert obj == [["-3", "1"], ["1", "1/2"]]
-        assert matrix_from_json(obj) == mat
+        assert matrix_from_json([["-3", "1"], ["1", "1/2"]]) == mat
 
     def test_asymmetric_rejected(self):
         with pytest.raises(SchemaError, match="symmetric"):
@@ -86,29 +87,30 @@ class TestMatrixRoundtrip:
 
 class TestProblemRoundtrip:
     def test_binomial(self):
-        s = BinomialSet(2, ((2, 1),), (Fraction(1, 3),))
-        obj = problem_to_json(ORTHANT, s)
-        sigma, back = problem_from_json(obj)
-        assert sigma == ORTHANT and back == s
+        sigma, s = problem_from_json(corpus_entry("hyperbola-2")["input"])
+        assert sigma == ORTHANT and s == BinomialSet(2, ((2, 1),), (1,))
 
     def test_tentacle(self):
-        s = Tentacle(2, (-1, -1))
-        sigma, back = problem_from_json(problem_to_json(ORTHANT, s))
-        assert back == s
+        sigma, s = problem_from_json(corpus_entry("tentacle-diag")["input"])
+        assert sigma == ORTHANT and s == Tentacle(2, (-1, -1))
 
     def test_basic(self):
-        f = LaurentPoly(2, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
-        s = BasicSet(2, (f,))
-        sigma, back = problem_from_json(problem_to_json(ORTHANT, s))
-        assert back == s
+        sigma, s = problem_from_json(corpus_entry("example3")["input"])
+        polys = (
+            LaurentPoly(2, {(2, 0): 1, (1, 1): -1, (0, 0): 1}),
+            LaurentPoly(2, {(0, 2): 1, (1, 1): -1, (0, 0): 1}),
+            LaurentPoly(2, {(1, 0): 1}),
+            LaurentPoly(2, {(0, 1): 1}),
+        )
+        assert sigma == ORTHANT and s == BasicSet(2, polys)
 
     def test_unknown_type(self):
         with pytest.raises(SchemaError, match="type"):
             problem_from_json({"sigma": cone_to_json(ORTHANT), "set": {"type": "nope"}})
 
     def test_poly_roundtrip(self):
-        f = LaurentPoly(2, {(-1, 3): Fraction(5, 7)})
-        assert poly_from_json(poly_to_json(f), "$", 2) == f
+        obj = {"terms": [{"exp": ["-1", "3"], "coef": "5/7"}, {"exp": ["0", "0"], "coef": "-2"}]}
+        assert poly_from_json(obj, "$", 2) == LaurentPoly(2, {(-1, 3): Fraction(5, 7), (0, 0): -2})
 
     def test_zero_poly_rejected(self):
         with pytest.raises(SchemaError, match="nonzero"):

@@ -17,7 +17,6 @@ from toricbound.surface import (
     intersection_matrix,
     positive_combination,
     self_intersections,
-    weighted_square,
 )
 
 from oracles import inertia_oracle
@@ -38,17 +37,17 @@ def random_smooth_fan(rng, max_subdivisions=8):
 class TestSelfIntersections:
     def test_projective_plane(self):
         surf = self_intersections(P2)
-        assert all(surf.self_intersection(i) == 1 for i in range(3))
+        assert surf.b == (-1, -1, -1)  # every line has square 1
 
     def test_exceptional_curve(self):
         surf = self_intersections(STRIP_FAN)
         i = surf.rays.index((0, -1))
-        assert surf.self_intersection(i) == -1
+        assert surf.b[i] == 1
 
     def test_hirzebruch_section(self):
         surf = self_intersections(HIRZEBRUCH2)
         i = surf.rays.index((0, 1))
-        assert surf.self_intersection(i) == -2
+        assert surf.b[i] == 2
 
     def test_wheel_identity(self):
         rng = random.Random(51)
@@ -216,24 +215,6 @@ class TestDivisorRelationsAndHodge:
             for j in (0, 1):
                 vec = [surf.rays[i][j] for i in range(m)]
                 assert all(x == 0 for x in mat.apply(vec))
-
-
-class TestWeightedSquare:
-    def test_sum_of_lines(self):
-        # the three coordinate lines sum to an anticanonical divisor of square 9
-        surf = self_intersections(P2)
-        sel = DivisorSelection(surf, (0, 1, 2))
-        assert weighted_square(sel, (1, 1, 1)) == 9
-
-    def test_positive_square_from_positive_eigenvalue(self):
-        surf = self_intersections(P2)
-        sel = DivisorSelection.from_rays(surf, [(-1, -1)])
-        assert weighted_square(sel, (2,)) == 4
-
-    def test_length_mismatch(self):
-        surf = self_intersections(P2)
-        with pytest.raises(ValueError):
-            weighted_square(DivisorSelection(surf, (0, 1)), (1,))
 
 
 class TestPositiveCombination:
