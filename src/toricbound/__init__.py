@@ -22,7 +22,6 @@ from .bounded import (
     certify_K0_membership,
     certify_orbit_meeting,
     initial_form,
-    is_trivial_bounded_ring,
     subfan_FS,
 )
 from .cones import RationalCone
@@ -34,6 +33,7 @@ from .filtration import (
     filtration_level,
     filtration_levels,
     total_stability_certificate,
+    verified_subfan,
 )
 from .hilbert import (
     ModuleGenerators,

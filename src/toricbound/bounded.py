@@ -1,6 +1,8 @@
 """The core pipeline: growth cones K(S) and K0(S), adapted fans, the toric
 compatibility check, the subfan carrying bounded functions, and generator
-sets for the ring of functions bounded on S.
+sets for the ring of functions bounded on S. An adapted fan is built from
+the rays the compatibility check requires of it; ``filtration.verified_subfan``
+chains fan, check and subfan for the commands.
 
 Three classes of semi-algebraic sets are supported. Binomial sets and
 tentacles have exactly computable growth cones and automatically satisfy the
@@ -321,13 +323,6 @@ def bounded_ring(sigma: RationalCone, s: BinomialSet | Tentacle) -> SemigroupBas
     return hilbert_basis(h_cone)
 
 
-def is_trivial_bounded_ring(sigma: RationalCone, s: BinomialSet | Tentacle) -> bool:
-    """True iff only constants are bounded: sigma + K(S) is the whole space."""
-    _check_sigma(sigma, s.rank)
-    k, _, _ = K_sets(s)
-    return sigma.minkowski_sum(k).is_full()
-
-
 def _check_sigma(sigma: RationalCone, rank: int):
     if sigma.side != "N":
         raise ValueError("sigma must be a cone in N")
@@ -367,24 +362,18 @@ def adapted_fan(s: ProblemSet, sigma: RationalCone) -> Fan2D:
     """A complete rank-2 fan adapted to S and containing sigma's rays.
 
     On the relative interior of each cone the component sequences of the
-    defining data are constant: binomial sets contribute the boundary rays of
-    the dual exponent cone, tentacles the directions +/-v, and basic sets the
-    primitive normals of all exponent differences. The standard projective
-    plane rays are always included, which completes the fan.
+    defining data are constant. The fan is built from the rays that
+    ``check_tc`` requires (``_adapted_rays``: the boundary rays of K0 for
+    binomial sets and tentacles, the primitive normals of all exponent
+    differences for basic sets), with -v for a tentacle. The standard
+    projective plane rays are always included, which completes the fan.
     """
     if s.rank != 2:
         raise ValueError("adapted fans are built in rank 2 only")
     _check_sigma(sigma, 2)
-    rays: list[Vec] = list(sigma.generators)
-    if isinstance(s, BinomialSet):
-        rays += _growth_boundary_rays(K_sets(s)[1])
-    elif isinstance(s, Tentacle):
-        rays += [s.v, vec_neg(s.v)]
-    elif isinstance(s, BasicSet):
-        rays += _basic_breaking_rays(s)
-    else:
-        raise TypeError(f"unsupported problem set {type(s).__name__}")
-    rays += list(P2_RAYS)
+    rays = [*sigma.generators, *_adapted_rays(s), *P2_RAYS]
+    if isinstance(s, Tentacle):
+        rays.append(vec_neg(s.v))
     fan = make_fan(rays)
     if not fan.complete:
         raise AssertionError("adapted fan construction must yield a complete fan")
@@ -427,10 +416,7 @@ class FSData:
     of S (the Y' rays of the filtration)."""
 
     fan: Fan2D
-    sigma: RationalCone
     rays: tuple[tuple[Vec, bool], ...]
-    cone_pairs: tuple[tuple[Vec, Vec], ...]
-    support_hull: RationalCone
     dual_basis: SemigroupBasis
 
 
@@ -444,13 +430,8 @@ def subfan_FS(fan: Fan2D, sigma: RationalCone, k0: RationalCone) -> FSData:
         in_sigma = sigma.contains(u)
         if in_sigma or k0.contains(u):
             kept.append((u, in_sigma))
-    kept_set = {u for u, _ in kept}
-    pairs = tuple(
-        (a, b) for a, b in fan.cone_pairs() if a in kept_set and b in kept_set
-    )
     hull = RationalCone.from_generators([u for u, _ in kept], 2, "N")
-    basis = hilbert_basis(hull.dual())
-    return FSData(fan, sigma, tuple(kept), pairs, hull, basis)
+    return FSData(fan, tuple(kept), hilbert_basis(hull.dual()))
 
 
 # -- certificates and the compatibility check ----------------------------------

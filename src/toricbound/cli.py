@@ -17,19 +17,16 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .bounded import (
-    BasicSet,
-    K_sets,
-    TCStatus,
-    adapted_fan,
-    bounded_ring,
-    check_tc,
-    subfan_FS,
-)
+from .bounded import BasicSet, K_sets, adapted_fan, bounded_ring, check_tc
 from .cones import RationalCone
 from .fans import is_smooth, smooth_resolution
-from .filtration import filtration_levels, total_stability_certificate
-from .hilbert import SemigroupBasis, hilbert_basis, semigroup_membership
+from .filtration import (
+    Inconclusive,
+    filtration_levels,
+    total_stability_certificate,
+    verified_subfan,
+)
+from .hilbert import hilbert_basis, semigroup_membership
 from .intlin import lattice_points
 from .linalg import inertia
 from .serialize import (
@@ -66,14 +63,6 @@ MAX_NMAX = 100
 # `--grid` values make a square grid of base points; each ray outside sigma
 # may evaluate every initial form at every point and try every drift there.
 MAX_GRID_VALUES = 32
-
-
-class Inconclusive(Exception):
-    """Raised when a command needs a Verified compatibility condition."""
-
-    def __init__(self, report):
-        super().__init__(report.reason)
-        self.report = report
 
 
 def corpus_list() -> list[str]:
@@ -132,21 +121,10 @@ def _load_input(args):
     return json.loads(text)
 
 
-def _tc_gate(sigma, s, args):
-    """For basic sets, require a Verified compatibility condition; returns the
-    subfan data of the kept rays."""
-    fan = adapted_fan(s, sigma)
-    report = check_tc(fan, sigma, s, args.grid, args.drifts)
-    if report.status is not TCStatus.VERIFIED:
-        raise Inconclusive(report)
-    return subfan_FS(fan, sigma, RationalCone.full(2, "N"))
-
-
 def _cmd_bounded(args):
     sigma, s = problem_from_json(_load_input(args))
     if isinstance(s, BasicSet):
-        _tc_gate(sigma, s, args)
-        basis = SemigroupBasis(s.rank, "M", ())
+        basis = verified_subfan(s, sigma, args.grid, args.drifts).dual_basis
     else:
         basis = bounded_ring(sigma, s)
     return semigroup_to_json(basis)
@@ -223,11 +201,7 @@ def _cmd_surface_classify(args):
 
 def _cmd_filtration(args):
     sigma, s = problem_from_json(_load_input(args))
-    if isinstance(s, BasicSet):
-        fs = _tc_gate(sigma, s, args)
-    else:
-        fan = adapted_fan(s, sigma)
-        fs = subfan_FS(fan, sigma, K_sets(s)[1])
+    fs = verified_subfan(s, sigma, args.grid, args.drifts)
     return {
         "bounded_basis": semigroup_to_json(fs.dual_basis),
         "levels": [level_to_json(lv) for lv in filtration_levels(fs, args.nmax)],

@@ -63,13 +63,6 @@ class Fan2D:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cone_pairs(self) -> list[tuple[Vec, Vec]]:
-        """The (ray_i, ray_{i+1}) pairs bounding the 2-cones of a complete fan."""
-        if not self.complete:
-            raise ValueError("2-cones are only determined for complete fans")
-        m = len(self.rays)
-        return [(self.rays[i], self.rays[(i + 1) % m]) for i in range(m)]
-
 
 def make_fan(rays) -> Fan2D:
     """Primitivize, deduplicate and cyclically sort the given ray generators.

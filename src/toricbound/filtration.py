@@ -1,6 +1,11 @@
-"""The boundedness filtration: lattice-point polyhedra of the levels, module
-generators over the bounded ring, dimensions, and the total-stability
-certificate.
+"""The boundedness filtration: the verified subfan of a problem, lattice-point
+polyhedra of the levels, module generators over the bounded ring,
+dimensions, and the total-stability certificate.
+
+``verified_subfan`` is the one route from a problem to its subfan: it builds
+the adapted fan, requires a Verified compatibility condition for a basic set
+(raising ``Inconclusive`` otherwise), and keeps the rays in sigma or K0. For a
+basic set K0 is not computed yet, so only constants are bounded there.
 
 Level n collects the exponents beta with <beta, u> >= 0 along the rays inside
 sigma and >= -n along the divisors at infinity met by the closure of S. Every
@@ -19,14 +24,15 @@ import enum
 from dataclasses import dataclass
 
 from .bounded import (
+    BasicSet,
     BinomialSet,
     FSData,
     K_sets,
+    ProblemSet,
     TCStatus,
     Tentacle,
     adapted_fan,
     check_tc,
-    is_trivial_bounded_ring,
     subfan_FS,
 )
 from .cones import RationalCone
@@ -40,6 +46,30 @@ from .hilbert import (
 Vec = tuple[int, ...]
 
 INFINITE = "infinite"
+
+
+class Inconclusive(Exception):
+    """Raised when a command needs a Verified compatibility condition."""
+
+    def __init__(self, report):
+        super().__init__(report.reason)
+        self.report = report
+
+
+def verified_subfan(s: ProblemSet, sigma: RationalCone, grid=None, drifts=None) -> FSData:
+    """The subfan of the adapted fan whose rays lie in sigma or K0.
+
+    Binomial sets and tentacles satisfy the compatibility condition on their
+    adapted fans. A basic set must have it Verified on the grid, else this
+    raises ``Inconclusive`` with the report; its K0 is taken to be the whole
+    plane, so only constants are bounded."""
+    fan = adapted_fan(s, sigma)
+    if not isinstance(s, BasicSet):
+        return subfan_FS(fan, sigma, K_sets(s)[1])
+    report = check_tc(fan, sigma, s, grid, drifts)
+    if report.status is not TCStatus.VERIFIED:
+        raise Inconclusive(report)
+    return subfan_FS(fan, sigma, RationalCone.full(2, "N"))
 
 
 @dataclass(frozen=True)
@@ -131,18 +161,8 @@ def total_stability_certificate(
         raise TypeError("stability certificates cover binomial sets and tentacles")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    fan = adapted_fan(s, sigma)
-    report = check_tc(fan, sigma, s)
-    if report.status is not TCStatus.VERIFIED:
-        raise ValueError(f"compatibility not verified: {report.reason}")
-    k0 = K_sets(s)[1]
-    fs = subfan_FS(fan, sigma, k0)
-    if not is_trivial_bounded_ring(sigma, s):
+    fs = verified_subfan(s, sigma)
+    if not fs.dual_basis.is_trivial():
         return StabilityReport(StabilityVerdict.NOT_APPLICABLE, fs.dual_basis, ())
     levels = filtration_levels(fs, n_max)
-    for lv in levels:
-        if lv.dimension == INFINITE:
-            raise AssertionError(
-                "level with trivial bounded ring must be finite-dimensional"
-            )
     return StabilityReport(StabilityVerdict.TOTALLY_STABLE, fs.dual_basis, levels)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .cones import RationalCone
 from .fans import Fan2D, is_smooth
-from .hilbert import hilbert_basis, SemigroupBasis
 from .intlin import clear_denominators, solve_rational
 from .linalg import Inertia, SymmetricRationalMatrix, inertia, lattice_point
 
@@ -238,14 +237,6 @@ def iitaka_classify(sel: DivisorSelection) -> IitakaResult:
                 "|complement| <= 1 in the positive-eigenvalue case"
             )
     return IitakaResult(trdeg, shape, sig, case)
-
-
-def function_ring_basis(sel: DivisorSelection) -> SemigroupBasis:
-    """Hilbert basis of the exponents of the monomials regular off the
-    selected divisors (the semigroup of the dual of the complement cone)."""
-    comp_rays = [sel.surface.rays[i] for i in sel.complement()]
-    cone = RationalCone.from_generators(comp_rays, 2, "N")
-    return hilbert_basis(cone.dual())
 
 
 def positive_combination(mat: SymmetricRationalMatrix) -> tuple[int, ...]:

@@ -21,11 +21,11 @@ from toricbound.bounded import (
     check_tc,
     cone_CS,
     initial_form,
-    is_trivial_bounded_ring,
     subfan_FS,
 )
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan
+from toricbound.filtration import StabilityVerdict, total_stability_certificate, verified_subfan
 
 from oracles import curve_sign, dot, poly_value, tc_oracle
 
@@ -156,23 +156,24 @@ class TestBoundedRing:
 
 class TestTriviality:
     def test_diagonal_tentacle_trivial(self):
-        assert is_trivial_bounded_ring(ORTHANT, TENT_DIAG)
         assert bounded_ring(ORTHANT, TENT_DIAG).is_trivial()
 
     def test_strip_not_trivial(self):
-        assert not is_trivial_bounded_ring(ORTHANT, STRIP)
+        assert not bounded_ring(ORTHANT, STRIP).is_trivial()
 
     def test_zero_sigma_with_proper_growth_cone(self):
-        assert not is_trivial_bounded_ring(ZERO, STRIP)
+        assert not bounded_ring(ZERO, STRIP).is_trivial()
 
     def test_agreement_with_basis(self):
+        # only constants are bounded iff sigma + K(S) is the whole space
         rng = random.Random(41)
         for _ in range(20):
             v = (rng.randint(-3, 3), rng.randint(-3, 3))
             if v == (0, 0):
                 continue
             s = Tentacle(2, v)
-            assert is_trivial_bounded_ring(ORTHANT, s) == bounded_ring(ORTHANT, s).is_trivial()
+            full = ORTHANT.minkowski_sum(K_sets(s)[0]).is_full()
+            assert full == bounded_ring(ORTHANT, s).is_trivial()
 
 
 class TestInitialForm:
@@ -230,7 +231,7 @@ class TestAdaptedFan:
         rng = random.Random(43)
         for s in (EX3, EX4, BasicSet(2, (X + Y,))):
             fan = adapted_fan(s, ORTHANT if s is not EX4 else ZERO)
-            for a, b in fan.cone_pairs():
+            for a, b in zip(fan.rays, fan.rays[1:] + fan.rays[:1]):
                 samples = []
                 for lam, mu in ((1, 1), (2, 1), (1, 2), (3, 2)):
                     v = (lam * a[0] + mu * b[0], lam * a[1] + mu * b[1])
@@ -265,15 +266,33 @@ class TestSubfanFS:
             subfan_FS(bad, ORTHANT, K_sets(STRIP)[1])
 
     def test_binomial_two_routes_agree(self):
+        # the subfan's dual basis against the direct intersection sigma* ∩ H,
+        # and the stability verdict against the triviality of that ring
+        sigmas = [ORTHANT, ZERO] + [
+            RationalCone.from_generators(gens, 2, "N")
+            for gens in ([(1, 0)], [(1, 2), (-1, 1)], [(2, -1), (-1, 3)])
+        ]
         rng = random.Random(44)
-        for _ in range(15):
-            g = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if g == (0, 0):
-                continue
-            s = BinomialSet(2, (g,), (Fraction(1),))
-            fan = adapted_fan(s, ORTHANT)
-            fs = subfan_FS(fan, ORTHANT, K_sets(s)[1])
-            assert fs.dual_basis == bounded_ring(ORTHANT, s)
+        vec = lambda: rng.choice([v for v in product(range(-3, 4), repeat=2) if any(v)])
+        trivial = 0
+        for case in range(60):
+            sigma = sigmas[case % len(sigmas)]
+            if case % 2:
+                s = Tentacle(2, vec())
+            else:
+                gammas = tuple(vec() for _ in range(rng.randint(1, 3)))
+                s = BinomialSet(2, gammas, (Fraction(1),) * len(gammas))
+            ring = bounded_ring(sigma, s)
+            assert verified_subfan(s, sigma).dual_basis == ring, (sigma, s)
+            report = total_stability_certificate(sigma, s, 2)
+            stable = report.verdict is StabilityVerdict.TOTALLY_STABLE
+            assert stable == ring.is_trivial(), (sigma, s)
+            if stable:
+                trivial += 1
+                assert all(isinstance(d, int) for d in report.dimensions())
+            else:
+                assert report.levels == ()
+        assert 0 < trivial < 60
 
 
 class TestCheckTC:
@@ -317,7 +336,7 @@ P2 = ((1, 0), (0, 1), (-1, -1))
 def adapted_by_cones(fan, k0):
     """The per-cone rule: K0 is a union of fan cones iff no 2-cone straddles
     its boundary and no ray of K0 passes through a 2-cone's interior."""
-    for a, b in fan.cone_pairs():
+    for a, b in zip(fan.rays, fan.rays[1:] + fan.rays[:1]):
         two = RationalCone.from_generators([a, b], 2, "N")
         cut = two.intersect(k0)
         if cut.dim() == 2 and cut != two:

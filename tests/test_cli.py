@@ -70,6 +70,40 @@ class TestBounded:
         assert report["witness_ray"] == ["-1", "-1"]
 
 
+class TestCompatibilityGate:
+    """`bounded` and `filtration` on a basic set need a Verified compatibility
+    condition, decided on the `--grid` given to them. For S = {x - 3 > 0} the
+    ray (0, -1) needs a base point with x > 3, which the default grid lacks."""
+
+    GRID = "--grid=1,3,6,-1,-3,-6,1/3,-1/3"
+
+    @pytest.fixture
+    def shifted(self, tmp_path):
+        terms = [{"exp": ["1", "0"], "coef": "1"}, {"exp": ["0", "0"], "coef": "-3"}]
+        problem = {
+            "sigma": {"rank": 2, "side": "N", "generators": [["1", "0"], ["0", "1"]]},
+            "set": {"type": "basic", "polys": [{"terms": terms}]},
+        }
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(problem))
+        return ["--input", str(path)]
+
+    @pytest.mark.parametrize("command", [["bounded"], ["filtration", "--nmax", "2"]])
+    def test_default_grid_is_inconclusive(self, shifted, command):
+        code, out, err = run_cli(command + shifted)
+        assert code == 3
+        assert json.loads(out)["status"] == "Unknown"
+        assert "compatibility condition not verified" in err
+
+    def test_grid_verifies_bounded(self, shifted):
+        out = run_json(["bounded", self.GRID] + shifted)
+        assert out == {"generators": [], "lineality": []}
+
+    def test_grid_verifies_filtration(self, shifted):
+        out = run_json(["filtration", "--nmax", "2", self.GRID] + shifted)
+        assert [lv["dim"] for lv in out["levels"]] == ["1", "3", "6"]
+
+
 class TestReports:
     def test_inertia_MY(self):
         out = run_json(["inertia", "--corpus", "mondal-netzer-MY"])

@@ -5,21 +5,27 @@ from itertools import product
 import pytest
 
 from toricbound.bounded import (
+    BasicSet,
     BinomialSet,
+    LaurentPoly,
+    TCStatus,
     K_sets,
     Tentacle,
     adapted_fan,
+    bounded_ring,
     subfan_FS,
 )
 from toricbound.cli import corpus_entry
 from toricbound.cones import RationalCone
 from toricbound.filtration import (
     INFINITE,
+    Inconclusive,
     StabilityVerdict,
     filtration_level,
     filtration_levels,
     level_polyhedron,
     total_stability_certificate,
+    verified_subfan,
 )
 from toricbound.serialize import problem_from_json
 
@@ -82,6 +88,20 @@ def oracle_images(fs, n):
     return dickson_oracle(qcons, qgens), t
 
 
+class TestVerifiedSubfan:
+    SHIFTED = (ORTHANT, BasicSet(2, (LaurentPoly(2, {(1, 0): 1, (0, 0): -3}),)))
+
+    @pytest.mark.parametrize("problem, status", [
+        (SHIFTED, TCStatus.UNKNOWN),
+        (problem_from_json(corpus_entry("example3")["input"]), TCStatus.VIOLATED),
+    ], ids=["x>3", "example3"])
+    def test_unverified_basic_set_raises_with_report(self, problem, status):
+        sigma, s = problem
+        with pytest.raises(Inconclusive) as info:
+            verified_subfan(s, sigma)
+        assert info.value.report.status is status
+
+
 class TestFiltrationLevel:
     def test_simplex_dimensions(self):
         fs = fs_for(TENT_DIAG, ORTHANT)
@@ -102,7 +122,7 @@ class TestFiltrationLevel:
             fs = fs_for(s, sigma)
             lv = filtration_level(fs, 0)
             assert lv.generators.generators == ((0, 0),)
-            assert lv.polyhedron.recession_cone() == fs.support_hull.dual()
+            assert lv.polyhedron.recession_cone() == fs.dual_basis.cone()
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
@@ -265,9 +285,7 @@ class TestStability:
         while found < 10:
             v = (rng.randint(-4, -1), rng.randint(-4, -1))
             s = Tentacle(2, v)
-            from toricbound.bounded import is_trivial_bounded_ring
-
-            if not is_trivial_bounded_ring(ORTHANT, s):
+            if not bounded_ring(ORTHANT, s).is_trivial():
                 continue
             report = total_stability_certificate(ORTHANT, s, rng.randint(1, 4))
             assert report.verdict is StabilityVerdict.TOTALLY_STABLE

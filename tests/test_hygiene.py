@@ -28,7 +28,6 @@ UNREACHED_ALLOWED = {
     "bounded.certify_orbit_meeting": "items 1 and 8",
     "bounded.initial_form": "items 1 and 17",
     "hilbert.binomial_parts": "item 14",
-    "surface.function_ring_basis": "item 16",
 }
 
 
