@@ -11,6 +11,8 @@ from .bounded import (
     BasicSet,
     BinomialSet,
     LaurentPoly,
+    RayKind,
+    RayVerdict,
     TCReport,
     TCStatus,
     Tentacle,
@@ -18,9 +20,8 @@ from .bounded import (
     adapted_fan,
     bounded_ring,
     check_tc,
+    classify_rays,
     cone_CS,
-    certify_K0_membership,
-    certify_orbit_meeting,
     initial_form,
     subfan_FS,
 )

@@ -6,12 +6,12 @@ chains fan, check and subfan for the commands.
 
 Three classes of semi-algebraic sets are supported. Binomial sets and
 tentacles have exactly computable growth cones and automatically satisfy the
-compatibility condition on adapted fans. General basic sets get three-valued
-answers backed by sound grid certificates: an interior witness for K0, and a
-curve certificate (one-parameter subgroup with first-order drift of the base
-point) for "the closure meets this boundary divisor". Both certificates of
-a ray come from one pass over the grid that takes the sign of each initial
-form at most once per base point.
+compatibility condition on adapted fans. ``classify_rays`` gives each ray a
+verdict (in sigma, in K0, closure meets, missed or undecided); for general
+basic sets it rests on sound grid certificates: an interior witness for K0,
+and a curve (one-parameter subgroup with first-order drift of the base point)
+for "the closure meets this boundary divisor", both from one pass over the
+grid. ``check_tc`` folds the verdicts of a fan's rays into one report.
 
 Every certificate is decided in integer arithmetic: each polynomial is
 written once as x^lows * F / den with F an integer polynomial, each
@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .cones import RationalCone
 from .fans import Fan2D, make_fan
 from .hilbert import SemigroupBasis, hilbert_basis
-from .intlin import dot, is_zero, primitive_tuple, vec_neg, vec_sub
+from .intlin import dot, is_zero, primitive_tuple, vec_neg
 from .linalg import lattice_point
 
 Vec = tuple[int, ...]
@@ -265,11 +265,39 @@ class TCStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
+class RayKind(enum.Enum):
+    """The verdict on one ray; see ``classify_rays``."""
+
+    IN_SIGMA = "in sigma"
+    IN_K0 = "in K0"
+    MEETS = "closure meets"
+    MISSED = "missed"
+    UNDECIDED = "undecided"
+
+
+class RayVerdict(NamedTuple):
+    """The compatibility verdict of one ray u, with the grid witnesses of a
+    basic set's scan: ``k0`` is a base point where every initial form along u
+    is positive, ``closure`` the (point, drift) of a curve
+    lambda_u(t)(xi + t*eta) that stays in S. Either is None when not found."""
+
+    ray: Vec
+    kind: RayKind
+    k0: Point | None
+    closure: tuple[Point, Point] | None
+
+
+Verdicts = tuple[RayVerdict, ...]
+
+
 @dataclass(frozen=True)
 class TCReport:
+    """The folded verdict, with the verdict of every fan ray in ``rays``."""
+
     status: TCStatus
     witness_ray: Vec | None
     reason: str
+    rays: Verdicts
 
     def __post_init__(self):
         if self.status is TCStatus.VIOLATED and self.witness_ray is None:
@@ -336,25 +364,17 @@ def _check_sigma(sigma: RationalCone, rank: int):
 
 
 def _growth_boundary_rays(k0: RationalCone) -> list[Vec]:
-    if k0.is_full():
-        return []
     if k0.is_pointed():
         return list(k0.generators)
-    rays = []
-    for b in k0.lineality_basis:
-        rays.append(b)
-        rays.append(vec_neg(b))
-    return rays
+    return [] if k0.is_full() else [r for b in k0.lineality_basis for r in (b, vec_neg(b))]
 
 
 def _basic_breaking_rays(s: BasicSet) -> list[Vec]:
     rays = []
     for f in s.polys:
         for a, b in combinations(f.support(), 2):
-            d = vec_sub(a, b)
-            perp = (-d[1], d[0])
-            rays.append(primitive_tuple(perp))
-            rays.append(vec_neg(primitive_tuple(perp)))
+            u = primitive_tuple((b[1] - a[1], a[0] - b[0]))  # normal to a - b
+            rays += [u, vec_neg(u)]
     return rays
 
 
@@ -371,7 +391,8 @@ def adapted_fan(s: ProblemSet, sigma: RationalCone) -> Fan2D:
     if s.rank != 2:
         raise ValueError("adapted fans are built in rank 2 only")
     _check_sigma(sigma, 2)
-    rays = [*sigma.generators, *_adapted_rays(s), *P2_RAYS]
+    k0 = None if isinstance(s, BasicSet) else K_sets(s)[1]
+    rays = [*sigma.generators, *_adapted_rays(s, k0), *P2_RAYS]
     if isinstance(s, Tentacle):
         rays.append(vec_neg(s.v))
     fan = make_fan(rays)
@@ -380,8 +401,9 @@ def adapted_fan(s: ProblemSet, sigma: RationalCone) -> Fan2D:
     return fan
 
 
-def _adapted_rays(s: ProblemSet) -> list[Vec]:
-    """The rays every fan adapted to S must have.
+def _adapted_rays(s: ProblemSet, k0: RationalCone | None) -> list[Vec]:
+    """The rays every fan adapted to S must have, with k0 = K0(S) for a
+    binomial set or a tentacle and None for a basic set.
 
     For binomial sets and tentacles these are the boundary rays of K0. On a
     complete rank-2 fan, K0 is a union of fan cones iff each of them is a
@@ -389,9 +411,7 @@ def _adapted_rays(s: ProblemSet) -> list[Vec]:
     boundary of K0 and lies inside K0 or outside it, while a boundary ray
     that is no fan ray cuts the 2-cone around it. For basic sets they are
     the breaking rays."""
-    if isinstance(s, BasicSet):
-        return _basic_breaking_rays(s)
-    return _growth_boundary_rays(K_sets(s)[1])
+    return _basic_breaking_rays(s) if k0 is None else _growth_boundary_rays(k0)
 
 
 def _require_rays(fan: Fan2D, rays, what: str):
@@ -408,39 +428,28 @@ def _require_rays(fan: Fan2D, rays, what: str):
 
 @dataclass(frozen=True)
 class FSData:
-    """The subfan of an adapted fan whose rays lie in sigma or meet the growth
-    cone, with the Hilbert basis of the dual of its support.
+    """The subfan of an adapted fan whose rays lie in sigma or in K0, with the
+    Hilbert basis of the dual of its support.
 
     ``rays`` pairs each kept ray with a flag marking containment in sigma.
-    Rays kept but not in sigma are the divisors at infinity met by the closure
-    of S (the Y' rays of the filtration)."""
+    Rays kept but not in sigma are the rays in K0: divisors at infinity met by
+    the closure of S (the Y' rays of the filtration)."""
 
     fan: Fan2D
     rays: tuple[tuple[Vec, bool], ...]
     dual_basis: SemigroupBasis
 
 
-def subfan_FS(fan: Fan2D, sigma: RationalCone, k0: RationalCone) -> FSData:
-    """Select the cones whose rays all lie in sigma or meet the growth cone,
-    and compute the Hilbert basis of the dual of their support."""
-    _check_sigma(sigma, 2)
-    _require_rays(fan, _growth_boundary_rays(k0), "fan not adapted: missing growth-cone rays")
-    kept: list[tuple[Vec, bool]] = []
-    for u in fan.rays:
-        in_sigma = sigma.contains(u)
-        if in_sigma or k0.contains(u):
-            kept.append((u, in_sigma))
+def subfan_FS(fan: Fan2D, rays) -> FSData:
+    """Keep the fan rays whose verdict (``check_tc``'s ``rays``) is in sigma or
+    in K0, and compute the Hilbert basis of the dual of their support."""
+    kept = tuple((v.ray, v.kind is RayKind.IN_SIGMA) for v in rays
+                 if v.kind in (RayKind.IN_SIGMA, RayKind.IN_K0))
     hull = RationalCone.from_generators([u for u, _ in kept], 2, "N")
-    return FSData(fan, tuple(kept), hilbert_basis(hull.dual()))
+    return FSData(fan, kept, hilbert_basis(hull.dual()))
 
 
-# -- certificates and the compatibility check ----------------------------------
-
-
-@dataclass(frozen=True)
-class Certificate:
-    certified: bool
-    witness: tuple | None
+# -- per-ray verdicts and the compatibility check -------------------------------
 
 
 def default_grid() -> list[Point]:
@@ -455,24 +464,38 @@ def default_drifts() -> list[Point]:
     return [tuple(p) for p in product(vals, repeat=2) if any(p)]
 
 
-def certify_K0_membership(s: BasicSet, v, grid=None) -> Certificate:
-    """Sound test for v ∈ K0(S): a grid point with all initial forms positive
-    witnesses an open set swept into S along direction v. Never claims 'not in'.
-    Decided in integer arithmetic (see ``_scan_ray``)."""
-    return _scan_ray(lattice_point(v, s.rank), *_prepare(s, grid, ()))[0]
+def classify_rays(s: ProblemSet, sigma: RationalCone, rays, grid=None, drifts=None) -> Verdicts:
+    """The verdict of each ray u, in order: "in sigma", else for a binomial
+    set or a tentacle "in K0" or "missed" by the exact K0 of ``K_sets``.
+
+    A basic set's rays get two sound one-sided certificates from one grid
+    pass (``_scan_ray``). A base point where every initial form along u is
+    positive witnesses an open set swept into S along u: "in K0". Else a
+    curve lambda_u(t)(xi + t*eta) in S for all small t > 0 shows that the
+    closure of S meets the divisor of u: "closure meets". Else "undecided".
+    The zero drift, tried first at each base point, is exactly membership
+    of xi in S(u); nonzero drift catches sets that escape to infinity only
+    along moving base points."""
+    _check_sigma(sigma, s.rank)
+    growth = _prepare(s, grid, drifts) if isinstance(s, BasicSet) else K_sets(s)[1]
+    return _classify(sigma, [lattice_point(u, s.rank) for u in rays], growth)
 
 
-def certify_orbit_meeting(s: BasicSet, v, grid=None, drifts=None) -> Certificate:
-    """Sound test for 'the closure of S meets the divisor of ray v'.
-
-    Searches for a curve lambda_v(t) * (xi + t*eta) that lies in S for all
-    small t > 0; its limit is a point of the divisor's dense orbit. The zero
-    drift, tried first at each base point, is exactly membership of xi in
-    S(v); nonzero drift catches sets that escape to infinity only along
-    moving base points. The sign of each f along a curve is decided in
-    integer arithmetic by the exact curve polynomial P(t) of
-    ``_curve_sign``, with no truncation depth."""
-    return _scan_ray(lattice_point(v, s.rank), *_prepare(s, grid, drifts))[1]
+def _classify(sigma: RationalCone, rays, growth) -> Verdicts:
+    """The verdicts of ``classify_rays`` from K0 (a cone) or the integer scan
+    data of a basic set (``_prepare``)."""
+    out = []
+    for u in rays:
+        if sigma.contains(u):
+            out.append(RayVerdict(u, RayKind.IN_SIGMA, None, None))
+        elif isinstance(growth, RationalCone):
+            kind = RayKind.IN_K0 if growth.contains(u) else RayKind.MISSED
+            out.append(RayVerdict(u, kind, None, None))
+        else:
+            k0, closure = _scan_ray(u, *growth)
+            kind = RayKind.IN_K0 if k0 else RayKind.MEETS if closure else RayKind.UNDECIDED
+            out.append(RayVerdict(u, kind, k0, closure))
+    return tuple(out)
 
 
 def _curve_sign(g: _Cleared, shifts, point, eta) -> int:
@@ -532,9 +555,10 @@ def _witness(point) -> Point:
     return tuple(Fraction(x) for x in point)
 
 
-def _scan_ray(v: Vec, polys, points, etas) -> tuple[Certificate, Certificate]:
-    """(K0 certificate, closure certificate) of ray v from one pass over the
-    points, with the cleared polys, points and drifts of ``_prepare``.
+def _scan_ray(v: Vec, polys, points, etas) -> tuple[Point | None, tuple[Point, Point] | None]:
+    """(K0 witness, closure witness) of ray v from one pass over the points,
+    with the cleared polys, points and drifts of ``_prepare``; None where
+    the grid holds no witness.
 
     Every sign is decided in integer arithmetic. The initial form of f is the
     set of its terms of shift <e, v> - dmin = 0, and its sign at xi is that of
@@ -551,7 +575,7 @@ def _scan_ray(v: Vec, polys, points, etas) -> tuple[Certificate, Certificate]:
         dmin = min(degs)
         shifts.append([d - dmin for d in degs])
         initials.append([t for t, d in zip(g.terms, degs) if d == dmin])
-    closure = Certificate(False, None)
+    closure = None
     for xi, point, units in points:
         signs = []
         for initial, unit in zip(initials, units):
@@ -562,71 +586,49 @@ def _scan_ray(v: Vec, polys, points, etas) -> tuple[Certificate, Certificate]:
             continue
         pending = [i for i, sg in enumerate(signs) if sg == 0]
         if not pending:
-            if not closure.certified:
-                closure = Certificate(True, (_witness(xi), _witness(etas[0][0])))
-            return Certificate(True, (_witness(xi),)), closure
-        if closure.certified:
+            return _witness(xi), closure or (_witness(xi), _witness(etas[0][0]))
+        if closure:
             continue
         for eta, drift in etas:
             if all(_curve_sign(polys[i], shifts[i], point, drift) > 0 for i in pending):
-                closure = Certificate(True, (_witness(xi), _witness(eta)))
+                closure = (_witness(xi), _witness(eta))
                 break
-    return Certificate(False, None), closure
+    return None, closure
 
 
 def check_tc(fan: Fan2D, sigma: RationalCone, s: ProblemSet, grid=None, drifts=None) -> TCReport:
-    """Decide the toric compatibility condition for S on an adapted fan.
+    """Decide the toric compatibility condition for S on an adapted fan from
+    the verdict of every fan ray (``classify_rays``), carried in ``rays``.
 
-    Binomial sets and tentacles satisfy it on every adapted fan. For basic
-    sets each boundary ray outside sigma is classified three-valued by one
-    grid pass (``_scan_ray``): a certified interior witness clears it; a
-    certified closure meeting without an interior witness reports a violation
-    (density itself is not certified); otherwise the overall verdict degrades
-    to Unknown. The polynomials, grid and drifts are put in integer form once
-    per call (``_prepare``), and every ray's certificates are decided in
-    integer arithmetic, the drift test by the exact curve polynomial.
-    """
-    _check_sigma(sigma, 2 if isinstance(s, BasicSet) else s.rank)
+    Binomial sets and tentacles satisfy it on every adapted fan. A basic set
+    is Violated at a ray whose closure meeting is certified without an
+    interior witness (density itself is not certified), else Unknown if some
+    ray is undecided. K0, or the integer form of the polynomials, grid and
+    drifts (``_prepare``), is computed once per call."""
+    _check_sigma(sigma, s.rank)
     _require_rays(fan, sigma.generators, "fan does not contain the sigma rays")
-    _require_rays(fan, _adapted_rays(s), "fan not adapted: missing rays")
-    if isinstance(s, BinomialSet):
-        return TCReport(
-            TCStatus.VERIFIED, None,
-            "binomial set: every divisor at infinity met by the closure is met "
-            "densely on an adapted fan",
-        )
-    if isinstance(s, Tentacle):
-        return TCReport(
-            TCStatus.VERIFIED, None,
-            "tentacle: the closure only meets orbits whose cone has the sweep "
-            "direction in its relative interior",
-        )
-    scan = _prepare(s, grid, drifts)
-    violated: list[Vec] = []
-    unknown: list[Vec] = []
-    for u in fan.rays:
-        if sigma.contains(u):
-            continue
-        k0, closure = _scan_ray(u, *scan)
-        if k0.certified:
-            continue
-        if closure.certified:
-            violated.append(u)
-        else:
-            unknown.append(u)
+    k0 = None if isinstance(s, BasicSet) else K_sets(s)[1]
+    _require_rays(fan, _adapted_rays(s, k0), "fan not adapted: missing rays")
+    rays = _classify(sigma, fan.rays, _prepare(s, grid, drifts) if k0 is None else k0)
+    violated = [v.ray for v in rays if v.kind is RayKind.MEETS]
+    unknown = sorted(v.ray for v in rays if v.kind is RayKind.UNDECIDED)
     if violated:
         w = min(violated)
         return TCReport(
             TCStatus.VIOLATED, w,
             f"closure certified to meet the divisor of ray {w} but no interior "
-            "witness was found on the grid (density not certified)",
+            "witness was found on the grid (density not certified)", rays,
         )
     if unknown:
-        return TCReport(
-            TCStatus.UNKNOWN, None,
-            f"no certificate either way for ray(s) {sorted(unknown)}",
-        )
-    return TCReport(
-        TCStatus.VERIFIED, None,
-        "every boundary ray outside sigma has a certified interior witness",
-    )
+        return TCReport(TCStatus.UNKNOWN, None, f"no certificate either way for ray(s) {unknown}", rays)
+    return TCReport(TCStatus.VERIFIED, None, _VERIFIED_REASONS[type(s)], rays)
+
+
+# binomial sets and tentacles have no "closure meets" or "undecided" rays
+_VERIFIED_REASONS = {
+    BinomialSet: "binomial set: every divisor at infinity met by the closure is met densely "
+                 "on an adapted fan",
+    Tentacle: "tentacle: the closure only meets orbits whose cone has the sweep direction in "
+              "its relative interior",
+    BasicSet: "every boundary ray outside sigma has a certified interior witness",
+}

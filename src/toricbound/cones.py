@@ -157,10 +157,6 @@ class RationalCone:
     def zero(rank: int, side: str) -> "RationalCone":
         return RationalCone.from_generators([], rank, side)
 
-    @staticmethod
-    def full(rank: int, side: str) -> "RationalCone":
-        return RationalCone.from_inequalities([], rank, side)
-
     # -- structure -----------------------------------------------------------
 
     def dim(self) -> int:

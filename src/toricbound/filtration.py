@@ -3,9 +3,10 @@ polyhedra of the levels, module generators over the bounded ring,
 dimensions, and the total-stability certificate.
 
 ``verified_subfan`` is the one route from a problem to its subfan: it builds
-the adapted fan, requires a Verified compatibility condition for a basic set
-(raising ``Inconclusive`` otherwise), and keeps the rays in sigma or K0. For a
-basic set K0 is not computed yet, so only constants are bounded there.
+the adapted fan, requires a Verified compatibility condition (raising
+``Inconclusive`` otherwise), and keeps the rays that the check classifies in
+sigma or in K0. Binomial sets and tentacles are always Verified; a Verified
+basic set has every ray outside sigma in K0.
 
 Level n collects the exponents beta with <beta, u> >= 0 along the rays inside
 sigma and >= -n along the divisors at infinity met by the closure of S. Every
@@ -24,10 +25,8 @@ import enum
 from dataclasses import dataclass
 
 from .bounded import (
-    BasicSet,
     BinomialSet,
     FSData,
-    K_sets,
     ProblemSet,
     TCStatus,
     Tentacle,
@@ -57,19 +56,19 @@ class Inconclusive(Exception):
 
 
 def verified_subfan(s: ProblemSet, sigma: RationalCone, grid=None, drifts=None) -> FSData:
-    """The subfan of the adapted fan whose rays lie in sigma or K0.
+    """The subfan of the adapted fan whose rays ``check_tc`` classifies in
+    sigma or in K0.
 
-    Binomial sets and tentacles satisfy the compatibility condition on their
-    adapted fans. A basic set must have it Verified on the grid, else this
-    raises ``Inconclusive`` with the report; its K0 is taken to be the whole
-    plane, so only constants are bounded."""
+    Raises ``Inconclusive`` with the report unless the compatibility
+    condition is Verified, which it always is for binomial sets and
+    tentacles. A basic set is Verified only when every ray outside sigma has
+    a grid witness in K0, so all the fan's rays are kept and only constants
+    are bounded."""
     fan = adapted_fan(s, sigma)
-    if not isinstance(s, BasicSet):
-        return subfan_FS(fan, sigma, K_sets(s)[1])
     report = check_tc(fan, sigma, s, grid, drifts)
     if report.status is not TCStatus.VERIFIED:
         raise Inconclusive(report)
-    return subfan_FS(fan, sigma, RationalCone.full(2, "N"))
+    return subfan_FS(fan, report.rays)
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,8 @@ def level_polyhedron(fs: FSData, n: int) -> ShiftedPolyhedron:
 def filtration_levels(fs: FSData, n_max: int) -> tuple[FiltrationLevel, ...]:
     """Levels 0..n_max of the subfan, from one Dickson pass over level 1.
 
-    >>> from .bounded import Tentacle, K_sets, adapted_fan, subfan_FS
     >>> orthant = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
-    >>> s = Tentacle(2, (-1, -1))
-    >>> fs = subfan_FS(adapted_fan(s, orthant), orthant, K_sets(s)[1])
+    >>> fs = verified_subfan(Tentacle(2, (-1, -1)), orthant)
     >>> [lv.dimension for lv in filtration_levels(fs, 3)]
     [1, 3, 6, 10]
     """

@@ -24,11 +24,10 @@ from toricbound.cli import corpus_entry
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan, star_subdivide
 from toricbound.filtration import (
-    K_sets,
     StabilityVerdict,
     filtration_level,
-    subfan_FS,
     total_stability_certificate,
+    verified_subfan,
 )
 from toricbound.hilbert import hilbert_basis, lattice_kernel_relations
 from toricbound.linalg import SymmetricRationalMatrix, inertia
@@ -182,11 +181,11 @@ def test_criterion_08_hilbert_oracle_equivalence():
 def test_criterion_09_filtration_dimensions():
     with criterion(9, "filtration dimensions: simplex counts and module ranks n+1"):
         tent = Tentacle(2, (-1, -1))
-        fs = subfan_FS(adapted_fan(tent, ORTHANT), ORTHANT, K_sets(tent)[1])
+        fs = verified_subfan(tent, ORTHANT)
         for n in range(6):
             assert filtration_level(fs, n).dimension == (n + 1) * (n + 2) // 2
         strip = BinomialSet(2, ((1, 0),), (Fraction(1),))
-        fs2 = subfan_FS(adapted_fan(strip, ORTHANT), ORTHANT, K_sets(strip)[1])
+        fs2 = verified_subfan(strip, ORTHANT)
         for n in range(6):
             assert filtration_level(fs2, n).module_rank == n + 1
 

@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 from toricbound.bounded import (
     BasicSet,
     BinomialSet,
-    Certificate,
     LaurentPoly,
+    RayKind,
+    RayVerdict,
     TCStatus,
     Tentacle,
     K_sets,
     adapted_fan,
     bounded_ring,
-    certify_K0_membership,
-    certify_orbit_meeting,
     check_tc,
+    classify_rays,
     cone_CS,
     initial_form,
-    subfan_FS,
 )
 from toricbound.cones import RationalCone
 from toricbound.fans import make_fan
@@ -245,25 +244,30 @@ class TestAdaptedFan:
 
 class TestSubfanFS:
     def test_strip(self):
-        fan = adapted_fan(STRIP, ORTHANT)
-        fs = subfan_FS(fan, ORTHANT, K_sets(STRIP)[1])
+        fs = verified_subfan(STRIP, ORTHANT)
         assert fs.dual_basis.generators == ((1, 0),)
         assert set(fs.rays) == {((1, 0), True), ((0, 1), True), ((0, -1), False)}
 
     def test_hyperbola(self):
-        fan = adapted_fan(HYPERBOLA2, ORTHANT)
-        fs = subfan_FS(fan, ORTHANT, K_sets(HYPERBOLA2)[1])
+        fs = verified_subfan(HYPERBOLA2, ORTHANT)
         assert fs.dual_basis.generators == ((2, 1),)
 
     def test_full_growth_cone_gives_constants(self):
-        fan = adapted_fan(TENT_DIAG, ORTHANT)
-        fs = subfan_FS(fan, ORTHANT, RationalCone.full(2, "N"))
+        # {x > 0, y > 0} is Verified: every ray outside the orthant is in K0
+        fs = verified_subfan(BasicSet(2, (X, Y)), ORTHANT)
         assert fs.dual_basis.is_trivial()
+
+    def test_verified_basic_set_keeps_every_ray(self):
+        # Verified puts every ray outside sigma in K0, so the subfan is the fan
+        s = BasicSet(2, (X, Y))
+        fs = verified_subfan(s, ORTHANT)
+        assert [u for u, _ in fs.rays] == list(adapted_fan(s, ORTHANT).rays)
+        assert {u for u, in_sigma in fs.rays if in_sigma} == {(1, 0), (0, 1)}
 
     def test_not_adapted_rejected(self):
         bad = make_fan([(1, 0), (0, 1), (-1, -1)])
         with pytest.raises(ValueError, match="fan not adapted"):
-            subfan_FS(bad, ORTHANT, K_sets(STRIP)[1])
+            check_tc(bad, ORTHANT, STRIP)
 
     def test_binomial_two_routes_agree(self):
         # the subfan's dual basis against the direct intersection sigma* ∩ H,
@@ -321,9 +325,20 @@ class TestCheckTC:
         fan = adapted_fan(TENT_DIAG, ORTHANT)
         assert check_tc(fan, ORTHANT, TENT_DIAG).status is TCStatus.VERIFIED
 
+    def test_report_carries_every_ray_verdict(self):
+        fan = adapted_fan(EX3, ORTHANT)
+        report = check_tc(fan, ORTHANT, EX3)
+        assert [v.ray for v in report.rays] == list(fan.rays)
+        kinds = {v.ray: v.kind for v in report.rays}
+        assert kinds[(1, 0)] is kinds[(1, 1)] is kinds[(0, 1)] is RayKind.IN_SIGMA
+        assert kinds[(-1, 1)] is kinds[(1, -1)] is RayKind.IN_K0
+        (diagonal,) = [v for v in report.rays if v.ray == (-1, -1)]
+        assert diagonal.kind is RayKind.MEETS and diagonal.k0 is None
+        assert diagonal.closure is not None
+
     def test_unknown_for_uncertifiable_ray(self):
         # bounded x, free y: rays +/-e1 have empty growth directions, which the
-        # sampling certifiers cannot prove
+        # grid witnesses cannot prove
         s = BasicSet(2, (lp({(0, 0): 1, (1, 0): -1}), X, Y))
         fan = adapted_fan(s, ZERO)
         report = check_tc(fan, ZERO, s)
@@ -358,7 +373,7 @@ def random_k0(rng, shape, fan_rays):
     if shape == "zero":
         return RationalCone.zero(2, "N")
     if shape == "full":
-        return RationalCone.full(2, "N")
+        return RationalCone.from_inequalities([], 2, "N")
     if shape == "ray":
         return RationalCone.from_generators([ray()], 2, "N")
     u = ray()
@@ -388,7 +403,7 @@ class TestAdaptedness:
 
     def test_subfan_incomplete_fan(self):
         with pytest.raises(ValueError, match="must be complete"):
-            subfan_FS(make_fan([(1, 0), (0, 1)]), ORTHANT, K_sets(STRIP)[1])
+            check_tc(make_fan([(1, 0), (0, 1)]), ORTHANT, STRIP)
 
     def test_ray_rule_matches_per_cone_rule(self):
         rng = random.Random(11)
@@ -400,8 +415,12 @@ class TestAdaptedness:
             shape = rng.choice(shapes)
             k0 = random_k0(rng, shape, fan.rays)
             expected = adapted_by_cones(fan, k0)
+            # the binomial set whose K0 is k0: its exponents generate the dual
+            gammas = k0.dual().generators or ((0, 0),)
+            s = BinomialSet(2, gammas, (2,) * len(gammas))
+            assert K_sets(s)[1] == k0
             try:
-                subfan_FS(fan, ZERO, k0)
+                check_tc(fan, ZERO, s)
                 adapted = True
             except ValueError as exc:
                 assert "fan not adapted" in str(exc)
@@ -412,32 +431,47 @@ class TestAdaptedness:
         assert all(seen[shape, False] for shape in ("ray", "line", "half-plane", "pointed"))
 
 
+def verdict(s, v, grid=None, drifts=None):
+    """The verdict of the one ray v, with no ray in sigma."""
+    return classify_rays(s, ZERO, [v], grid, drifts)[0]
+
+
 class TestCertifiers:
     def test_halfplane_in(self):
-        cert = certify_K0_membership(BasicSet(2, (X + Y,)), (1, 1))
-        assert cert.certified
+        assert verdict(BasicSet(2, (X + Y,)), (1, 1)).k0 is not None
 
     def test_example3_antidiagonal_inconclusive(self):
-        assert not certify_K0_membership(EX3, (-1, -1)).certified
+        assert verdict(EX3, (-1, -1)).k0 is None
 
     def test_example3_diagonal_in(self):
-        cert = certify_K0_membership(EX3, (1, 1))
-        assert cert.certified
+        assert verdict(EX3, (1, 1)).k0 is not None
 
     def test_orbit_zero_drift(self):
-        cert = certify_orbit_meeting(EX3, (-1, -1))
-        assert cert.certified
-        _, drift = cert.witness
+        v = verdict(EX3, (-1, -1))
+        assert v.closure is not None
+        _, drift = v.closure
         assert drift == (0, 0)
 
     def test_orbit_needs_drift(self):
-        cert = certify_orbit_meeting(EX4, (-1, -1))
-        assert cert.certified
-        _, drift = cert.witness
+        v = verdict(EX4, (-1, -1))
+        assert v.closure is not None
+        _, drift = v.closure
         assert drift != (0, 0)
 
     def test_orbit_sound_negative(self):
-        assert not certify_orbit_meeting(EX4, (1, 0)).certified
+        assert verdict(EX4, (1, 0)).closure is None
+
+    @pytest.mark.parametrize("s", [STRIP, HYPERBOLA2, TENT_DIAG])
+    def test_exact_rays_follow_k0(self, s):
+        # binomial sets and tentacles: "in K0" or "missed" by the exact K0
+        k0 = K_sets(s)[1]
+        rays = [(1, 0), (0, 1), (-1, -1), (0, -1), (-1, 0), (1, -2), (-1, 2)]
+        for v in classify_rays(s, ORTHANT, rays):
+            if ORTHANT.contains(v.ray):
+                assert v.kind is RayKind.IN_SIGMA
+            else:
+                assert v.kind is (RayKind.IN_K0 if k0.contains(v.ray) else RayKind.MISSED), (s, v)
+            assert v.k0 is v.closure is None
 
 
 def grid_and_drifts(values, drift_values):
@@ -470,7 +504,7 @@ def random_basic_set(rng, reach=2):
 
 
 class TestAgainstOracle:
-    """Every per-ray certificate and every verdict of the compatibility check
+    """Every per-ray witness and every verdict of the compatibility check
     against ``oracles.tc_oracle``, which evaluates in Fraction arithmetic and
     expands each curve polynomial by repeated multiplication with its linear
     factors. Both sides are exact, so they must agree for any exponents."""
@@ -481,14 +515,14 @@ class TestAgainstOracle:
         polys = [f.terms for f in s.polys]
         for grid, drifts, ogrid, odrifts in grids:
             decided, status, witness = tc_oracle(polys, rays, ogrid, odrifts)
-            for u in rays:
-                assert certify_K0_membership(s, u, grid).certified == decided[u][0], (s, u)
-                cert = certify_orbit_meeting(s, u, grid, drifts)
-                assert cert.certified == decided[u][1], (s, u)
-                if cert.certified and any(cert.witness[1]):
+            verdicts = classify_rays(s, ZERO, rays, grid, drifts)
+            for v in verdicts:
+                assert (v.k0 is not None, v.closure is not None) == decided[v.ray], (s, v.ray)
+                if v.closure and any(v.closure[1]):
                     seen.add("drift")
             report = check_tc(fan, sigma, s, grid, drifts)
             assert (report.status.value, report.witness_ray) == (status, witness), s
+            assert [v for v in report.rays if v.kind is not RayKind.IN_SIGMA] == list(verdicts)
             seen.add(status)
 
     def test_examples(self):
@@ -535,7 +569,7 @@ def random_ray(rng):
 
 
 class TestIntegerKernels:
-    """The integer sign kernels of the certificates against Fraction
+    """The integer sign kernels of the per-ray witnesses against Fraction
     arithmetic: ``oracles.poly_value`` for values and initial-form signs, and
     ``oracles.curve_sign`` for the sign of f along a curve."""
 
@@ -557,7 +591,7 @@ class TestIntegerKernels:
             value = g.evaluate(xi)
             assert value == poly_value(g.terms, xi)
             for h, positive in ((f, value > 0), (-f, value < 0)):
-                assert certify_K0_membership(BasicSet(2, (h,)), v, [xi]).certified == positive
+                assert (verdict(BasicSet(2, (h,)), v, [xi], ()).k0 is not None) == positive
             signs.add((value > 0) - (value < 0))
         assert signs == {-1, 1}
 
@@ -580,8 +614,8 @@ class TestIntegerKernels:
                 f = f * factor
             expected = curve_sign(f.terms, v, xi, eta)
             for h, sign in ((f, 1), (-f, -1)):
-                cert = certify_orbit_meeting(BasicSet(2, (h,)), v, [xi], [eta])
-                assert cert.certified == (expected == sign), (f, v, xi, eta)
+                met = verdict(BasicSet(2, (h,)), v, [xi], [eta]).closure is not None
+                assert met == (expected == sign), (f, v, xi, eta)
             signs.add(expected)
         assert signs == {-1, 0, 1}
 
@@ -592,8 +626,7 @@ class TestIntegerKernels:
         for _ in range(10):
             f = f * lp({(1, 0): 1, (0, 0): -1})
         s, xi, eta = BasicSet(2, (f,)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))
-        cert = certify_orbit_meeting(s, (0, 1), [xi], [eta])
-        assert cert == Certificate(True, (xi, eta))
+        assert verdict(s, (0, 1), [xi], [eta]) == RayVerdict((0, 1), RayKind.MEETS, None, (xi, eta))
         assert curve_sign(f.terms, (0, 1), xi, eta) == 1
 
 

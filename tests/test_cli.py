@@ -3,6 +3,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbound import cli
 
@@ -113,6 +115,16 @@ class TestReports:
         out = run_json(["tc-check", "--corpus", "example4"])
         assert out["status"] == "Violated"
         assert out["witness_ray"] == ["-1", "-1"]
+
+    @pytest.mark.parametrize("name, reason", [
+        ("hyperbola-1", "binomial set: every divisor at infinity met by the closure is met densely "
+                        "on an adapted fan"),
+        ("tentacle-diag", "tentacle: the closure only meets orbits whose cone has the sweep "
+                          "direction in its relative interior"),
+    ])
+    def test_tc_check_reason(self, name, reason):
+        out = run_json(["tc-check", "--corpus", name])
+        assert out == {"status": "Verified", "witness_ray": None, "reason": reason}
 
     def test_ksets(self, tmp_path):
         entry = cli.corpus_entry("strip")
@@ -312,3 +324,64 @@ class TestDeterminism:
         code, out, _ = run_cli(["tc-check", "--corpus", "example3", "--grid", "1,-1,2,-2,1/2,-1/2"])
         assert code == 0
         assert json.loads(out)["status"] == "Violated"
+
+
+# the commands a corpus input may be given to, with the options they take
+FUZZ_COMMANDS = {
+    "problem": ["bounded", "ksets", "adapted-fan", "tc-check", "filtration", "stability"],
+    "surface-classify": ["surface-classify"],
+    "hilbert": ["hilbert"],
+    "inertia": ["inertia"],
+}
+FUZZ_VALUES = ["0", "1", "-1", "2", "-2", "3", "-3", "1/2", "-1/3", "x", "", "1/0", "2.5"]
+FUZZ_GRIDS = ["1,-1", "1,-1,2,-2,1/2,-1/2", "0,1,3", "-1/3,2", "1,1", "1/0", "a"]
+
+
+def _leaves(obj, path=()):
+    """The paths of the string leaves of a JSON value."""
+    if isinstance(obj, str):
+        yield path
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, path + (i,))
+
+
+def _replace(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replace(obj[path[0]], path[1:], value)
+    return out
+
+
+class TestFuzz:
+    """Corpus inputs with a few coordinates, coefficients or entries replaced
+    by small or malformed values, under small options: every run ends with
+    exit 0, 2 or 3 and never with an exception."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_corpus_inputs(self, data):
+        name = data.draw(st.sampled_from(cli.corpus_list()))
+        entry = cli.corpus_entry(name)
+        obj = entry["input"]
+        leaves = list(_leaves(obj))
+        for _ in range(data.draw(st.integers(0, 3))):
+            obj = _replace(obj, data.draw(st.sampled_from(leaves)), data.draw(st.sampled_from(FUZZ_VALUES)))
+        kind = "problem" if entry["command"] in FUZZ_COMMANDS["problem"] else entry["command"]
+        command = data.draw(st.sampled_from(FUZZ_COMMANDS.get(kind, [entry["command"]])))
+        args = [command, "--input", "-"]
+        if command in ("filtration", "stability"):
+            args += ["--nmax", str(data.draw(st.integers(0, 4)))]
+        if command in ("tc-check", "bounded", "filtration") and data.draw(st.booleans()):
+            args += ["--grid", data.draw(st.sampled_from(FUZZ_GRIDS))]
+        old_in = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(obj))
+        try:
+            code, _, err = run_cli(args)
+        finally:
+            sys.stdin = old_in
+        assert code in (0, 2, 3), (args, obj, err)

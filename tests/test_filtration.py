@@ -9,11 +9,8 @@ from toricbound.bounded import (
     BinomialSet,
     LaurentPoly,
     TCStatus,
-    K_sets,
     Tentacle,
-    adapted_fan,
     bounded_ring,
-    subfan_FS,
 )
 from toricbound.cli import corpus_entry
 from toricbound.cones import RationalCone
@@ -38,8 +35,7 @@ TENT_DIAG = Tentacle(2, (-1, -1))
 
 
 def fs_for(s, sigma):
-    fan = adapted_fan(s, sigma)
-    return subfan_FS(fan, sigma, K_sets(s)[1])
+    return verified_subfan(s, sigma)
 
 
 CORPUS = ("hyperbola-1", "hyperbola-2", "hyperbola-3", "strip", "tentacle-diag")

@@ -54,7 +54,7 @@ class TestHilbertBasis:
         assert basis.generators == ((1, 0),)
 
     def test_full_plane(self):
-        basis = hilbert_basis(RationalCone.full(2, "M"))
+        basis = hilbert_basis(RationalCone.from_inequalities([], 2, "M"))
         assert basis.generators == ()
         assert basis.lineality_units == ((1, 0), (0, 1))
 

@@ -24,8 +24,6 @@ READERS = [*ROOT.glob("tools/*.py"), *ROOT.glob("benchmark/*.py"), ROOT / "tests
 # Public names kept although only their unit tests reach them, each with the
 # ROADMAP item that uses or removes it.
 UNREACHED_ALLOWED = {
-    "bounded.certify_K0_membership": "items 1 and 8",
-    "bounded.certify_orbit_meeting": "items 1 and 8",
     "bounded.initial_form": "items 1 and 17",
     "hilbert.binomial_parts": "item 14",
 }
@@ -99,31 +97,39 @@ def _readme_reads(text: str) -> Counter:
     return reads
 
 
+def _public_defs(modules: dict[str, ast.Module]) -> dict[str, ast.FunctionDef]:
+    """The public top-level functions and methods of ``modules`` by qualified name."""
+    defs = {}
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{stem}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                methods = (m for m in node.body if isinstance(m, ast.FunctionDef))
+                defs.update((f"{stem}.{node.name}.{m.name}", m) for m in methods)
+    return {name: node for name, node in defs.items() if not node.name.startswith("_")}
+
+
 def _unreached(modules: dict[str, ast.Module], reads: Counter) -> set[str]:
     """The public top-level functions and methods of ``modules`` whose name is
     read nowhere but inside their own definition. ``reads`` counts the reads
     of the modules themselves and of every other reader."""
-    defs = []
-    for stem, tree in modules.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                defs.append((f"{stem}.{node.name}", node))
-            elif isinstance(node, ast.ClassDef):
-                methods = (m for m in node.body if isinstance(m, ast.FunctionDef))
-                defs += [(f"{stem}.{node.name}.{m.name}", m) for m in methods]
     return {
-        qualname for qualname, node in defs
-        if not node.name.startswith("_") and reads[node.name] <= _reads(node)[node.name]
+        qualname for qualname, node in _public_defs(modules).items()
+        if reads[node.name] <= _reads(node)[node.name]
     }
 
 
-def _allow_list_errors(unreached: set[str], allowed) -> list[str]:
-    """One line for each unreached name the allow-list lacks, and for each
-    allow-listed name that is reached after all, so the list cannot go stale."""
+def _allow_list_errors(unreached: set[str], allowed, defined: set[str]) -> list[str]:
+    """One line for each unreached name the allow-list lacks, for each
+    allow-listed name that no module defines, and for each allow-listed name
+    that is reached after all, so the list cannot go stale."""
     allowed = set(allowed)
-    return [f"{name} is reached only by its unit tests" for name in sorted(unreached - allowed)] + [
-        f"{name} is allow-listed but reached" for name in sorted(allowed - unreached)
-    ]
+    return (
+        [f"{name} is reached only by its unit tests" for name in sorted(unreached - allowed)]
+        + [f"{name} is allow-listed but not defined" for name in sorted(allowed - defined)]
+        + [f"{name} is allow-listed but reached" for name in sorted(allowed & defined - unreached)]
+    )
 
 
 def test_public_names_are_reached():
@@ -138,7 +144,7 @@ def test_public_names_are_reached():
     reads = sum((_reads(tree) for tree in modules.values()), Counter())
     reads += sum((_reads(ast.parse(path.read_text())) for path in READERS), Counter())
     reads += _readme_reads((ROOT / "README.md").read_text())
-    errors = _allow_list_errors(_unreached(modules, reads), UNREACHED_ALLOWED)
+    errors = _allow_list_errors(_unreached(modules, reads), UNREACHED_ALLOWED, set(_public_defs(modules)))
     assert not errors, errors
 
 
@@ -156,12 +162,20 @@ def test_unreached_name_is_found():
     # the unit test is not a reader: what only it calls is flagged, unless allowed
     unreached = _unreached({"mod": module}, _reads(module) + _reads(program))
     assert unreached == {"mod.tested", "mod.kept", "mod.C.method"}
-    assert _allow_list_errors(unreached, {"mod.kept", "mod.C.method"}) == [
+    defined = set(_public_defs({"mod": module}))
+    assert _allow_list_errors(unreached, {"mod.kept", "mod.C.method"}, defined) == [
         "mod.tested is reached only by its unit tests"
+    ]
+    # an allow-listed name that no module defines (say, a deleted one) is stale
+    assert _allow_list_errors(unreached, {"mod.kept", "mod.C.method", "mod.gone"}, defined) == [
+        "mod.tested is reached only by its unit tests",
+        "mod.gone is allow-listed but not defined",
     ]
 
 
 def test_stale_allow_list_entry_fails():
-    unreached = {"mod.kept"}
-    assert _allow_list_errors(unreached, {"mod.kept"}) == []
-    assert _allow_list_errors(unreached, {"mod.kept", "mod.used"}) == ["mod.used is allow-listed but reached"]
+    unreached, defined = {"mod.kept"}, {"mod.kept", "mod.used"}
+    assert _allow_list_errors(unreached, {"mod.kept"}, defined) == []
+    assert _allow_list_errors(unreached, {"mod.kept", "mod.used"}, defined) == [
+        "mod.used is allow-listed but reached"
+    ]

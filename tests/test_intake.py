@@ -12,8 +12,7 @@ from toricbound.bounded import (
     BinomialSet,
     LaurentPoly,
     Tentacle,
-    certify_K0_membership,
-    certify_orbit_meeting,
+    classify_rays,
     initial_form,
 )
 from toricbound.cones import RationalCone
@@ -30,6 +29,7 @@ from toricbound.surface import DivisorSelection, ToricSurface, chain_classify
 
 F = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
 ORTHANT_N = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
+ZERO_N = RationalCone.zero(2, "N")
 ORTHANT_BASIS = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
 # a smooth complete fan with the ray (2, 1)
 SURFACE = ToricSurface.from_fan(make_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)]))
@@ -39,8 +39,7 @@ SITES = [
     ("lattice_point", lambda v: lattice_point(v, 2), (2, 1), True),
     ("LaurentPoly", lambda v: LaurentPoly(2, {v: 1}), (2, 1), True),
     ("initial_form", lambda v: initial_form(F, v), (2, 1), True),
-    ("certify_K0_membership", lambda v: certify_K0_membership(BasicSet(2, (F,)), v), (2, 1), True),
-    ("certify_orbit_meeting", lambda v: certify_orbit_meeting(BasicSet(2, (F,)), v), (2, 1), True),
+    ("classify_rays", lambda v: classify_rays(BasicSet(2, (F,)), ZERO_N, [v]), (2, 1), True),
     ("BinomialSet", lambda v: BinomialSet(2, (v,), (1,)), (2, 1), True),
     ("Tentacle", lambda v: Tentacle(2, v), (2, 1), True),
     ("from_generators", lambda v: RationalCone.from_generators([v], 2, "M"), (2, 1), True),

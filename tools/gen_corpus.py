@@ -120,6 +120,25 @@ ENTRIES = [
         },
     },
     {
+        "name": "quadrant-basic",
+        "command": "tc-check",
+        "input": {
+            "sigma": ORTHANT,
+            "set": {"type": "basic", "polys": [poly([(1, 0, 1)]), poly([(0, 1, 1)])]},
+        },
+    },
+    {
+        "name": "wide-strip",
+        "command": "tc-check",
+        "input": {
+            "sigma": ZERO_CONE,
+            "set": {
+                "type": "basic",
+                "polys": [poly([(0, 1, 1), (0, 0, -1)]), poly([(0, 0, 3), (0, 1, -1)])],
+            },
+        },
+    },
+    {
         "name": "tentacle-diag",
         "command": "stability",
         "options": {"nmax": 5},
