@@ -39,7 +39,12 @@ SITES = [
     ("lattice_point", lambda v: lattice_point(v, 2), (2, 1), True),
     ("LaurentPoly", lambda v: LaurentPoly(2, {v: 1}), (2, 1), True),
     ("initial_form", lambda v: initial_form(F, v), (2, 1), True),
-    ("classify_rays", lambda v: classify_rays(BasicSet(2, (F,)), ZERO_N, [v]), (2, 1), True),
+    # the K0 and closure witnesses of classify_rays, under the names of the
+    # certificates they replace; both witnesses exist for the ray (-2, -1)
+    ("certify_K0_membership", lambda v: classify_rays(BasicSet(2, (F,)), ZERO_N, [v])[0].k0,
+     (-2, -1), True),
+    ("certify_orbit_meeting", lambda v: classify_rays(BasicSet(2, (F,)), ZERO_N, [v])[0].closure,
+     (-2, -1), True),
     ("BinomialSet", lambda v: BinomialSet(2, (v,), (1,)), (2, 1), True),
     ("Tentacle", lambda v: Tentacle(2, v), (2, 1), True),
     ("from_generators", lambda v: RationalCone.from_generators([v], 2, "M"), (2, 1), True),
