@@ -40,7 +40,6 @@ from .hilbert import (
     ModuleGenerators,
     SemigroupBasis,
     ShiftedPolyhedron,
-    dickson_decompose,
     dickson_decompose_scaled,
     hilbert_basis,
     lattice_kernel_relations,

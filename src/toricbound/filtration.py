@@ -10,13 +10,14 @@ basic set has every ray outside sigma in K0.
 
 Level n collects the exponents beta with <beta, u> >= 0 along the rays inside
 sigma and >= -n along the divisors at infinity met by the closure of S. Every
-offset is 0 or n, so level n is n times the polygon of level 1, and level
-zero is the recession cone of that polygon: the bounded ring itself. Each
-level is a finitely generated module over it, with generators computed by
-Dickson decomposition; ``filtration_levels`` decomposes all levels of a
-subfan in one pass over the level-1 polygon. A finite level has a zero
-recession cone, hence a trivial base semigroup, so its module generators are
-all of its lattice points and their number is its dimension.
+offset is 0 or n, so level n is n·P_1 for the polygon P_1 of level 1: the
+slice t = n of one cone, the homogenization of P_1. Level zero is the
+recession cone of P_1: the bounded ring itself. Each level is a finitely
+generated module over it, with generators computed by Dickson decomposition;
+``filtration_levels`` decomposes all levels of a subfan in one pass over
+P_1. A finite level has a zero recession cone, hence a trivial base
+semigroup, so its module generators are all of its lattice points and their
+number is its dimension.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def filtration_level(fs: FSData, n: int) -> FiltrationLevel:
 
 
 def _levels(fs: FSData, ns) -> tuple[FiltrationLevel, ...]:
-    # every offset of level n is 0 or n, so level n is n times level 1
+    # every offset is 0 or n: level n is the slice t = n of level 1's homogenization
     decompositions = dickson_decompose_scaled(level_polyhedron(fs, 1), fs.dual_basis, ns)
     # the pass has checked that the recession cone is the cone of the
     # bounded ring, so a level is finite iff that ring is trivial

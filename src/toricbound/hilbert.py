@@ -14,8 +14,9 @@ saturated span lattice.
 
 Dickson module generators are the irreducible lattice points of a
 polyhedron, found for all its multiples in one pass: each fibre of
-``intlin.lattice_fibres`` around the scaled vertices minus one interval of
-reducible points per generator. Semigroup membership builds its cone and
+``intlin.lattice_fibres`` around the scaled vertices, read off the rays of
+the polyhedron's homogenization, minus one interval of reducible points per
+generator. Semigroup membership builds its cone and
 grading once per basis and answers each point by a bounded search.
 """
 
@@ -23,9 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor
 
 from .cones import RationalCone
 from .intlin import (
@@ -39,7 +37,6 @@ from .intlin import (
     lattice_points,
     rank_of,
     saturate,
-    solve_rational,
     vec_neg,
     vec_sub,
 )
@@ -86,7 +83,8 @@ class ModuleGenerators:
 
 @dataclass(frozen=True)
 class ShiftedPolyhedron:
-    """The polyhedron {beta : <beta, u> >= -m for all (u, m) in constraints}."""
+    """The polyhedron {beta : <beta, u> >= -m for all (u, m) in constraints};
+    s·poly, with offsets s·m, is the slice t = s of its ``homogenization``."""
 
     rank: int
     side: str
@@ -101,18 +99,14 @@ class ShiftedPolyhedron:
             [u for u, _ in self.constraints], self.rank, self.side
         )
 
-    def vertices(self) -> list[tuple[Fraction, ...]]:
-        """All vertices: the feasible solutions of the nonsingular square subsystems."""
+    def homogenization(self) -> RationalCone:
+        """The cone {(beta, t) : <beta, u> + m·t >= 0 for all (u, m), t >= 0},
+        whose slice t = s is s·poly. If the recession cone of poly is pointed,
+        its rays (g, t) with t > 0 are the vertices g / t of poly."""
         n = self.rank
-        verts: list[tuple[Fraction, ...]] = []
-        for subset in combinations(self.constraints, n):
-            sol = solve_rational([u for u, _ in subset], [-m for _, m in subset])
-            if sol is None:
-                continue
-            pt = tuple(sol)
-            if all(dot(u, pt) >= -m for u, m in self.constraints) and pt not in verts:
-                verts.append(pt)
-        return verts
+        return RationalCone.from_inequalities(
+            [(*u, m) for u, m in self.constraints] + [(0,) * n + (1,)], n + 1, self.side
+        )
 
 
 def hilbert_basis(cone: RationalCone) -> SemigroupBasis:
@@ -280,26 +274,19 @@ def _pointed_search(gens: list[Vec], rank: int) -> Callable[[Vec], bool]:
     return search
 
 
-def dickson_decompose(poly: ShiftedPolyhedron, base: SemigroupBasis) -> ModuleGenerators:
-    """Minimal B0 with (poly ∩ lattice) = B0 + semigroup(base), listed in
-    graded-lex order: the one-scale case of ``dickson_decompose_scaled``.
-
-    The recession cone of the polyhedron must equal the cone of the base
-    semigroup.
-
-    >>> orthant = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
-    >>> poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
-    >>> dickson_decompose(poly, orthant).generators
-    ((-1, -1),)
-    """
-    return dickson_decompose_scaled(poly, base, (1,))[0]
-
-
 def dickson_decompose_scaled(
     poly: ShiftedPolyhedron, base: SemigroupBasis, scales
 ) -> list[ModuleGenerators]:
-    """``dickson_decompose`` of s·poly, the polyhedron with offsets (u, s·m),
-    for each s in scales (s = 0 gives the recession cone).
+    """For each s in scales, the minimal B0 with (s·poly ∩ lattice) =
+    B0 + semigroup(base) in graded-lex order; s·poly has offsets (u, s·m).
+
+    The recession cone of the polyhedron, which is s·poly at s = 0, must
+    equal the cone of the base semigroup.
+
+    >>> orthant = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
+    >>> poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
+    >>> [m.generators for m in dickson_decompose_scaled(poly, orthant, (0, 1))]
+    [((0, 0),), ((-1, -1),)]
 
     Scaling the offsets scales the vertices and keeps the recession cone, so
     the cone check, the lineality quotient, the vertices and the table of
@@ -317,7 +304,7 @@ def dickson_decompose_scaled(
     if any(s < 0 for s in scales):
         raise ValueError("scales must be nonnegative")
     if poly.rank > 3:
-        raise ValueError("dickson_decompose supported up to rank 3")
+        raise ValueError("dickson_decompose_scaled supported up to rank 3")
     if poly.recession_cone() != base.cone():
         raise ValueError("recession cone does not match the base semigroup")
     if not base.lineality_units:
@@ -343,7 +330,8 @@ def _dickson_pointed(poly: ShiftedPolyhedron, hs, scales) -> list[tuple[Vec, ...
     """The irreducible lattice points of s·poly for each s in scales; the
     recession cone of poly is pointed and generated by hs."""
     n = poly.rank
-    verts = poly.vertices()
+    # the homogenization is pointed like its face t = 0, the recession cone
+    verts = [g for g in poly.homogenization().generators if g[-1] > 0]
     us = [u for u, _ in poly.constraints]
     last = [u[-1] for u in us]
     # b - h lies in s·poly iff the slack of b on every constraint u is >= <u, h>
@@ -352,13 +340,10 @@ def _dickson_pointed(poly: ShiftedPolyhedron, hs, scales) -> list[tuple[Vec, ...
     pad_hi = [sum(max(0, h[c]) for h in hs) for c in range(n)]
     out = []
     for s in scales:
-        # the only vertex of the pointed recession cone (s = 0) is the origin
-        corners = [tuple(s * x for x in v) for v in verts] if s else [(0,) * n]
-        if not corners:
-            out.append(())
-            continue
-        lo = [floor(min(v[c] for v in corners)) + pad_lo[c] for c in range(n)]
-        hi = [ceil(max(v[c] for v in corners)) + pad_hi[c] for c in range(n)]
+        # default=0: the origin is the vertex of the recession cone (s = 0); an
+        # empty poly has no vertex, and no lattice point in any box
+        lo = [min((s * g[c] // g[-1] for g in verts), default=0) + pad_lo[c] for c in range(n)]
+        hi = [max((-(-s * g[c] // g[-1]) for g in verts), default=0) + pad_hi[c] for c in range(n)]
         cons = [(u, s * m) for u, m in poly.constraints]
         minimal: list[Vec] = []
         for prefix, first, stop, slack in lattice_fibres(cons, lo, hi):

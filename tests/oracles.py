@@ -6,7 +6,8 @@ box enumeration with an irreducibility filter and, in rank 2, by
 Hirzebruch-Jung continued fractions, matrix inertia by the exact
 characteristic polynomial and Descartes' rule of signs, and lattice-point
 counts, lattice points and irreducible (Dickson) points of polyhedra by
-direct enumeration of a box, rational kernels by reduced row echelon form, determinants by Laplace
+direct enumeration of a box, vertices of polyhedra by solving every square
+subsystem, rational kernels by reduced row echelon form, determinants by Laplace
 expansion, and the grid certificates of the compatibility check by direct
 search with exactly expanded curve polynomials.
 """
@@ -187,6 +188,22 @@ def lattice_points_oracle(constraints, lo, hi):
     return [x for x in box if all(dot(a, x) >= -m for a, m in constraints)]
 
 
+def polyhedron_vertices(constraints):
+    """The vertices of {x : <u, x> >= -m for all (u, m)}, as tuples of
+    Fractions in order of discovery: the distinct feasible solutions of the
+    nonsingular square subsystems, by Gauss-Jordan elimination."""
+    n = len(constraints[0][0])
+    verts = []
+    for subset in combinations(constraints, n):
+        sol = _solve_exact([list(u) for u, _ in subset], [-m for _, m in subset])
+        if sol is None:
+            continue
+        v = tuple(sol)
+        if v not in verts and all(dot(u, v) >= -m for u, m in constraints):
+            verts.append(v)
+    return verts
+
+
 def dickson_oracle(constraints, gens):
     """The lattice points x of P = {x : <u, x> >= -m for all (u, m)} that no
     generator h reduces (x - h outside P), in lexicographic order, by testing
@@ -194,20 +211,15 @@ def dickson_oracle(constraints, gens):
 
     P must be pointed and its recession cone generated by gens. Then an
     irreducible point is a convex combination of vertices plus sum t_h h with
-    0 <= t_h < 1, so the box is the hull of the vertices (the feasible
-    solutions of the nonsingular square subsystems, by Gauss-Jordan
-    elimination) widened by sum |h| in every coordinate.
+    0 <= t_h < 1, so the box is the hull of ``polyhedron_vertices`` widened
+    by sum |h| in every coordinate.
     """
     n = len(constraints[0][0])
 
     def inside(x):
         return all(dot(u, x) >= -m for u, m in constraints)
 
-    verts = []
-    for subset in combinations(constraints, n):
-        sol = _solve_exact([list(u) for u, _ in subset], [-m for _, m in subset])
-        if sol is not None and inside(sol):
-            verts.append(sol)
+    verts = polyhedron_vertices(constraints)
     if not verts:
         return []
     pad = [sum(abs(h[c]) for h in gens) for c in range(n)]

@@ -24,9 +24,15 @@ from toricbound.filtration import (
     total_stability_certificate,
     verified_subfan,
 )
+from toricbound.hilbert import SemigroupBasis, hilbert_basis
 from toricbound.serialize import problem_from_json
 
-from oracles import count_points_oracle, dickson_oracle, multiplicativity_oracle
+from oracles import (
+    count_points_oracle,
+    dickson_oracle,
+    multiplicativity_oracle,
+    polyhedron_vertices,
+)
 
 ORTHANT = RationalCone.from_generators([(1, 0), (0, 1)], 2, "N")
 ZERO = RationalCone.zero(2, "N")
@@ -220,11 +226,41 @@ class TestLevelsAgainstOracle:
 
     @pytest.mark.parametrize("kind,arg", CASES)
     def test_vertices_scale_with_the_level(self, kind, arg):
+        # a level with lineality has a non-pointed homogenization and no vertex
         fs = self.fs_of(kind, arg)
-        unit = level_polyhedron(fs, 1).vertices()
-        for n in range(1, 13):
-            scaled = [tuple(n * x for x in v) for v in unit]
-            assert level_polyhedron(fs, n).vertices() == scaled
+        for n in range(13):
+            poly = level_polyhedron(fs, n)
+            cone = poly.homogenization()
+            rays = [g for g in cone.generators if g[-1] > 0] if cone.is_pointed() else []
+            got = sorted(tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in rays)
+            assert got == sorted(polyhedron_vertices(poly.constraints)), (kind, arg, n)
+
+    @pytest.mark.parametrize("kind,arg", CASES)
+    def test_rees_basis_describes_the_levels(self, kind, arg):
+        # level n is the slice t = n of the homogenization of level 1, so the
+        # Hilbert basis of that cone (the Rees basis) generates every level
+        fs = self.fs_of(kind, arg)
+        rees = hilbert_basis(level_polyhedron(fs, 1).homogenization())
+        base = fs.dual_basis
+        flat = tuple(sorted(g[:-1] for g in rees.generators if g[-1] == 0))
+        if base.lineality_units:
+            # representatives modulo the lineality space depend on coordinates
+            units = tuple(u[:-1] for u in rees.lineality_units)
+            assert SemigroupBasis(2, "M", flat, units).cone() == base.cone()
+        elif base.generators:
+            assert flat == base.generators
+        else:
+            assert not flat and not rees.lineality_units
+            # sums[n]: the sums of generators whose degrees add up to n
+            sums = [{(0, 0)}]
+            for n in range(1, 9):
+                sums.append({
+                    (p[0] + g[0], p[1] + g[1])
+                    for g in rees.generators if g[-1] <= n
+                    for p in sums[n - g[-1]]
+                })
+            levels = filtration_levels(fs, 8)
+            assert sums == [set(lv.generators.generators) for lv in levels], (kind, arg)
 
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError):

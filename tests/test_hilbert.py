@@ -10,7 +10,6 @@ from toricbound.hilbert import (
     ShiftedPolyhedron,
     _parallelepiped_points,
     binomial_parts,
-    dickson_decompose,
     dickson_decompose_scaled,
     hilbert_basis,
     lattice_kernel_relations,
@@ -142,23 +141,23 @@ ORTHANT_SEMIGROUP = SemigroupBasis(2, "M", ((0, 1), (1, 0)))
 class TestDicksonDecompose:
     def test_shifted_orthant(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
-        out = dickson_decompose(poly, ORTHANT_SEMIGROUP)
+        out = dickson_decompose_scaled(poly, ORTHANT_SEMIGROUP, (1,))[0]
         assert out.generators == ((-1, -1),)
 
     def test_bounded_triangle(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)))
-        out = dickson_decompose(poly, SemigroupBasis(2, "M", ()))
+        out = dickson_decompose_scaled(poly, SemigroupBasis(2, "M", ()), (1,))[0]
         assert set(out.generators) == {(0, 0), (1, 0), (0, 1)}
 
     def test_strip_module(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), 0), ((0, 1), 0), ((0, -1), 2)))
         base = SemigroupBasis(2, "M", ((1, 0),))
-        out = dickson_decompose(poly, base)
+        out = dickson_decompose_scaled(poly, base, (1,))[0]
         assert out.generators == ((0, 0), (0, 1), (0, 2))
 
     def test_empty_polyhedron(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), -2), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)))
-        out = dickson_decompose(poly, SemigroupBasis(2, "M", ()))
+        out = dickson_decompose_scaled(poly, SemigroupBasis(2, "M", ()), (1,))[0]
         assert out.generators == ()
 
     def test_non_integral_point_rejected(self):
@@ -168,28 +167,37 @@ class TestDicksonDecompose:
         assert orthant.contains((Fraction(2), 0))
 
     def test_scaled_pass_against_box_oracle(self):
-        # random pointed polygons; their fibres include reducible intervals
-        # nested inside one another
+        # random pointed polyhedra; their fibres include reducible intervals
+        # nested inside one another. In rank 3 the homogenization has rank 4;
+        # the oracle's box grows with the sum of the generators, so rank 3
+        # keeps to bases of at most 8 of them
         rng = random.Random(5)
-        checked = 0
-        while checked < 40:
-            us = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 4))]
-            if (0, 0) in us:
-                continue
-            cone = RationalCone.from_inequalities(us, 2, "M")
-            if cone.is_zero() or not cone.is_pointed():
-                continue
-            cons = tuple((u, rng.randint(-3, 5)) for u in us)
-            poly = ShiftedPolyhedron(2, "M", cons)
-            base = hilbert_basis(cone)
-            scales = [0, 1, 2, 5, 3]
-            out = dickson_decompose_scaled(poly, base, scales)
-            for s, got in zip(scales, out):
-                scaled = tuple((u, s * m) for u, m in cons)
-                want = dickson_oracle(scaled, base.generators)
-                assert sorted(got.generators) == want, (cons, s)
-                assert got == dickson_decompose(ShiftedPolyhedron(2, "M", scaled), base)
-            checked += 1
+        for rank, cases, bound, offsets, scales in (
+            (2, 40, 4, (-3, 5), [0, 1, 2, 5, 3]),
+            (3, 8, 2, (-1, 3), [0, 1, 2]),
+        ):
+            checked = 0
+            while checked < cases:
+                us = [tuple(rng.randint(-bound, bound) for _ in range(rank))
+                      for _ in range(rng.randint(rank, rank + 2))]
+                if (0,) * rank in us:
+                    continue
+                cone = RationalCone.from_inequalities(us, rank, "M")
+                if cone.is_zero() or not cone.is_pointed():
+                    continue
+                base = hilbert_basis(cone)
+                if rank == 3 and len(base.generators) > 8:
+                    continue
+                cons = tuple((u, rng.randint(*offsets)) for u in us)
+                poly = ShiftedPolyhedron(rank, "M", cons)
+                out = dickson_decompose_scaled(poly, base, scales)
+                for s, got in zip(scales, out):
+                    scaled = tuple((u, s * m) for u, m in cons)
+                    want = dickson_oracle(scaled, base.generators)
+                    assert sorted(got.generators) == want, (cons, s)
+                    one = ShiftedPolyhedron(rank, "M", scaled)
+                    assert got == dickson_decompose_scaled(one, base, (1,))[0]
+                checked += 1
 
     def test_scale_zero_of_an_empty_polyhedron_is_the_cone(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), -1), ((0, 1), -1), ((-1, -1), 1)))
@@ -205,7 +213,7 @@ class TestDicksonDecompose:
     def test_recession_mismatch(self):
         poly = ShiftedPolyhedron(2, "M", (((1, 0), 1), ((0, 1), 1)))
         with pytest.raises(ValueError, match="recession"):
-            dickson_decompose(poly, SemigroupBasis(2, "M", ((1, 0),)))
+            dickson_decompose_scaled(poly, SemigroupBasis(2, "M", ((1, 0),)), (1,))
 
     def test_coverage_and_minimality(self):
         rng = random.Random(21)
@@ -213,7 +221,7 @@ class TestDicksonDecompose:
             m1, m2 = rng.randint(0, 2), rng.randint(0, 3)
             poly = ShiftedPolyhedron(2, "M", (((1, 0), m1), ((0, 1), m2), ((1, 1), 0)))
             base = hilbert_basis(poly.recession_cone())
-            out = dickson_decompose(poly, base)
+            out = dickson_decompose_scaled(poly, base, (1,))[0]
             pts = [p for p in box_points(6) if poly.contains(p)]
             for p in pts:
                 assert any(
